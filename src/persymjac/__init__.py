@@ -16,9 +16,8 @@ from .jacobi import (MonicJacobi, OrthoPolySystem, Spectrum, SymmetricJacobi,
                      WeightTable, eigenvalues, is_persymmetric, mirror_residual,
                      recurrence_polynomials, weights_general, weights_persymmetric)
 from .polynomials import (Polynomial, lagrange_interpolate, poly_derivative,
-                          poly_divrem, poly_eval, poly_from_roots)
-from .reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
-                             divided_difference, euclid_descend, midpoint_data,
+                          poly_divrem, poly_from_roots)
+from .reconstruction import (ALGORITHMS, MidpointData, MomentSequence, midpoint_data,
                              midpoint_polys, moments, poly_from_moments_hankel,
                              reconstruct_gram_schmidt_full, reconstruct_half_lattice,
                              reconstruct_lagrange_euclid, reconstruct_mirror_fold,
@@ -47,9 +46,7 @@ __all__ = [
     "deform_conjugate",
     "deformed_polynomials",
     "deformed_weights",
-    "divided_difference",
     "eigenvalues",
-    "euclid_descend",
     "generate_spectrum",
     "is_persymmetric",
     "lagrange_interpolate",
@@ -60,7 +57,6 @@ __all__ = [
     "moments",
     "poly_derivative",
     "poly_divrem",
-    "poly_eval",
     "poly_from_moments_hankel",
     "poly_from_roots",
     "records_to_csv",

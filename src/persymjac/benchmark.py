@@ -12,13 +12,14 @@ cell:
     max deviation of the eigenvalues of the reconstruction from the
     requested spectrum.
 
-A solver breakdown inside a cell is recorded in-band as a failure
-entry (both error fields infinite), never raised out of
-:func:`run_benchmark`.  Timing, however, always measures the *complete*
-operation sequence of the algorithm -- the timed runs suspend the
-breakdown guards -- because a run aborted at its first degenerate
-coefficient says nothing about how much work the algorithm performs at
-that size.
+A solver breakdown inside a cell, in the reconstruction or in the
+eigensolve that checks it, is recorded in-band as a failure entry (both
+error fields infinite), never raised out of :func:`run_benchmark`.
+The timed call is the strict call; guards never cut the sequence short
+and the first breakdown is raised after it, so every timing measures
+the *complete* operation sequence of the algorithm -- a run aborted at
+its first degenerate coefficient would say nothing about how much work
+the algorithm performs at that size.
 
 Large-``N`` cells carry no accuracy guarantee: double precision limits
 the fidelity of coefficient-space reconstructions well before the
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .jacobi import MonicJacobi, Spectrum, eigenvalues
-from .reconstruction import ALGORITHMS, _run_unchecked
+from .reconstruction import ALGORITHMS
 
 #: entry_err above this triggers an accuracy warning on the record.
 ACCURACY_FLAG = 1e-4
@@ -168,14 +169,16 @@ def roundtrip_error(spec: Spectrum, algorithm: str,
     ``entry_err`` is the max deviation of ``(b, u)`` from ``truth``
     entrywise, or NaN when no ground truth is supplied.
     ``spectral_residual`` is the max deviation of the eigenvalues of the
-    reconstruction from ``spec``.  A solver breakdown is a data point,
-    not a panic: both fields come back infinite.
+    reconstruction from ``spec``.  A breakdown, in the reconstruction or
+    in its eigensolve, is a data point, not a panic: both fields come
+    back infinite.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     spec = Spectrum.coerce(spec)
     try:
         rec = ALGORITHMS[algorithm](spec)
+        back = eigenvalues(rec)
     except NumericalError:
         return math.inf, math.inf
     if truth is None:
@@ -183,7 +186,6 @@ def roundtrip_error(spec: Spectrum, algorithm: str,
     else:
         entry = max(float(np.max(np.abs(rec.b - truth.b))),
                     float(np.max(np.abs(rec.u - truth.u), initial=0.0)))
-    back = eigenvalues(rec)
     residual = float(np.max(np.abs(back.values - spec.values)))
     return entry, residual
 
@@ -242,13 +244,13 @@ def config_from_dict(doc: dict) -> BenchConfig:
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     """One record per (family, algorithm) cell, timed sequentially.
 
-    The timed region is the reconstruction's full operation sequence
-    with breakdown guards suspended; a guard firing mid-run would
-    otherwise censor the measurement and turn the timing comparison into
-    a comparison of failure points.  Accuracy fields always come from a
-    separate guarded run, so a breakdown is still reported (as infinite
-    errors) even though the timing reflects the complete work.
-    Generation and accuracy measurement run outside the timed region.
+    The timed region is the strict public call.  Its guards never cut
+    the operation sequence short -- the first breakdown is raised after
+    it -- so a breakdown cannot censor the measurement and turn the
+    timing comparison into a comparison of failure points.  Accuracy
+    fields come from :func:`roundtrip_error`, which reports a breakdown
+    as infinite errors.  Generation and accuracy measurement run outside
+    the timed region.
     """
     records = []
     for fam in config.families:
@@ -259,9 +261,9 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
             for _ in range(config.reps):
                 t0 = time.perf_counter_ns()
                 try:
-                    _run_unchecked(alg, spec)
+                    ALGORITHMS[alg](spec)
                 except NumericalError:
-                    pass  # defensive: valid families do not get here
+                    pass  # reported by roundtrip_error below
                 times.append(time.perf_counter_ns() - t0)
             entry, residual = roundtrip_error(spec, alg, truth)
             if math.isfinite(entry) and entry > ACCURACY_FLAG:

@@ -122,17 +122,20 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def poly_from_roots(roots: Sequence[float]) -> Polynomial:
-    """Monic polynomial with the given roots (empty sequence gives 1)."""
+def _roots_coeffs(roots) -> np.ndarray:
+    """Untrimmed coefficients of the monic polynomial with the given roots.
+
+    The top entry is exactly 1.0 whatever the size of the others.
+    """
     c = np.array([1.0])
     for r in np.asarray(roots, dtype=float).ravel():
         c = np.convolve(c, [-r, 1.0])
-    return Polynomial(c)
+    return c
 
 
-def poly_eval(p: Polynomial, x):
-    """Evaluate ``p`` at ``x`` (scalar or array)."""
-    return p(x)
+def poly_from_roots(roots: Sequence[float]) -> Polynomial:
+    """Monic polynomial with the given roots (empty sequence gives 1)."""
+    return Polynomial(_roots_coeffs(roots))
 
 
 def poly_derivative(p: Polynomial) -> Polynomial:
@@ -177,9 +180,17 @@ def lagrange_interpolate(points: Iterable[tuple[float, float]]) -> Polynomial:
         raise ValueError("interpolation data must be finite")
     if np.unique(xs).size != xs.size:
         raise ValueError("duplicate abscissae in interpolation data")
+    return Polynomial(_interp_coeffs(xs, ys))
+
+
+def _interp_coeffs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Untrimmed monomial coefficients of the interpolant through ``(xs, ys)``.
+
+    ``xs`` must be distinct; the result has exactly ``xs.size`` entries.
+    """
     n = xs.size
     # Divided-difference coefficients f[x_0..x_k], built column by column.
-    dd = ys.copy()
+    dd = np.array(ys, dtype=float)
     for j in range(1, n):
         dd[j:] = (dd[j:] - dd[j - 1 : -1]) / (xs[j:] - xs[: n - j])
     # Expand the Newton form onto the monomial basis.
@@ -187,4 +198,4 @@ def lagrange_interpolate(points: Iterable[tuple[float, float]]) -> Polynomial:
     for k in range(n - 2, -1, -1):
         c = np.convolve(c, [-xs[k], 1.0])
         c[0] += dd[k]
-    return Polynomial(c)
+    return c

@@ -25,7 +25,9 @@ scaled regardless of the input's units.
 
 Everything degrades gracefully rather than silently: descent weights or
 orthogonalization norms that come out nonpositive raise
-``NumericalError``.  The coefficient-space routes (``le``, ``mf``)
+``NumericalError``.  A guard never cuts an algorithm short: the whole
+operation sequence runs, and the first breakdown is raised after it.
+The coefficient-space routes (``le``, ``mf``)
 break down first as ``N`` grows -- representing high-degree polynomials
 by monomial coefficients is exponentially ill-conditioned -- while the
 inner-product routes survive to a few hundred points.
@@ -39,12 +41,10 @@ import numpy as np
 
 from .errors import NumericalError
 from .jacobi import MonicJacobi, Spectrum, WeightTable, weights_persymmetric
-from .polynomials import (TRIM_REL, Polynomial, lagrange_interpolate, poly_divrem,
-                          poly_from_roots)
-
-#: Default consistency tolerance for the module's internal assertions;
-#: every check scales it by the magnitude of the data it inspects.
-CONSISTENCY_TOL = 1e-8
+# ``lagrange_interpolate`` is not called here; it stays bound so that
+# perfbench/spans.py finds the polynomial layer through this module.
+from .polynomials import (TRIM_REL, Polynomial, _interp_coeffs, _roots_coeffs,
+                          lagrange_interpolate, poly_from_roots)
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,6 @@ class MomentSequence:
 # ----------------------------------------------------------------------
 # measure-side helpers
 # ----------------------------------------------------------------------
-
-
-def divided_difference(points, values) -> float:
-    """Divided difference of tabulated data over distinct points.
-
-    Computed in the symmetric form ``sum_s f(x_s) / prod_{t != s}(x_s - x_t)``;
-    for ``n+1`` points this is the ``n``-th order difference, which
-    vanishes whenever the data comes from a polynomial of degree < n.
-    """
-    x = np.asarray(points, dtype=float).ravel()
-    v = np.asarray(values, dtype=float).ravel()
-    if x.size != v.size:
-        raise ValueError("points and values must have equal length")
-    if x.size == 0:
-        raise ValueError("at least one point is required")
-    if np.unique(x).size != x.size:
-        raise ValueError("divided differences require distinct points")
-    if x.size == 1:
-        return float(v[0])
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return float(np.sum(v / np.prod(diff, axis=1)))
 
 
 def moments(spectrum, upto: int) -> MomentSequence:
@@ -179,30 +157,60 @@ def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, fl
     """
     if n < 1:
         raise ValueError("midpoint polynomials require n >= 1")
+    # the even sublattice has n//2 + 1 points, the odd one (n+1)//2
+    if md.omega0.degree != n // 2 + 1 or md.omega1.degree != (n + 1) // 2:
+        parity = "odd" if n % 2 else "even"
+        raise ValueError(f"midpoint data does not match an {parity}-n spectrum of this size")
+    if n % 2 and md.sigma1 <= md.sigma0:
+        raise ValueError("odd-n midpoint requires sigma1 > sigma0; input is corrupted")
+    faults: list[str] = []
+    with np.errstate(all="ignore"):
+        hi, lo, coeff = _midpoint_arrays(md.omega0.coeffs, md.omega1.coeffs,
+                                         md.sigma0, md.sigma1, n, faults)
+    if faults:
+        raise NumericalError(faults[0])
+    return Polynomial(hi), Polynomial(lo), float(coeff)
+
+
+def _midpoint_arrays(w0: np.ndarray, w1: np.ndarray, sigma0: float, sigma1: float,
+                     n: int, faults: list[str]) -> tuple[np.ndarray, np.ndarray, float]:
+    """The formulas of :func:`midpoint_polys` on exactly monic raw arrays.
+
+    ``w0``/``w1`` have ``n//2 + 2`` and ``(n+1)//2 + 1`` entries.
+    Returns the exactly monic ``P_{L+1}``, ``P_L`` and the closing
+    coefficient.
+    """
+    delta = sigma1 - sigma0
     if n % 2:
-        half = (n + 1) // 2
-        if md.omega0.degree != half or md.omega1.degree != half:
-            raise ValueError("midpoint data does not match an odd-n spectrum of this size")
-        delta = md.sigma1 - md.sigma0
-        if delta <= 0:
-            raise ValueError("odd-n midpoint requires sigma1 > sigma0; input is corrupted")
-        p_hi = 0.5 * (md.omega0 + md.omega1)
-        diff = md.omega0 - md.omega1
-        if diff.degree != half - 1 or diff.lead <= 0:
-            raise NumericalError("midpoint difference polynomial lost its leading term")
-        p_lo = diff.monic()
+        hi = 0.5 * (w0 + w1)
+        diff = (w0 - w1)[:-1]  # the leading 1.0s cancel exactly
+        if not _lead_survives(diff):
+            faults.append("midpoint difference polynomial lost its leading term")
+        lo = diff / diff[-1]
+        lo[-1] = 1.0
         coeff = 0.25 * delta * delta
     else:
-        half = n // 2
-        if md.omega0.degree != half + 1 or md.omega1.degree != half:
-            raise ValueError("midpoint data does not match an even-n spectrum of this size")
-        delta = md.sigma1 - md.sigma0
-        p_hi = 0.5 * (md.omega0 + Polynomial([delta, 1.0]) * md.omega1)
-        p_lo = md.omega1
-        coeff = md.sigma0 - md.sigma1
-    if p_hi.degree != p_lo.degree + 1:
-        raise NumericalError("midpoint polynomials lost a degree; spectrum too degenerate")
-    return p_hi, p_lo, float(coeff)
+        hi = 0.5 * (w0 + np.convolve([delta, 1.0], w1))
+        lo = w1
+        coeff = sigma0 - sigma1
+    if not _lead_survives(hi):
+        faults.append("midpoint polynomials lost a degree; spectrum too degenerate")
+    return hi, lo, coeff
+
+
+# ----------------------------------------------------------------------
+# breakdown guards
+# ----------------------------------------------------------------------
+#
+# A guard that fires appends its message to the ``faults`` list it is
+# given and lets the computation run on: every algorithm performs its
+# full operation sequence, and the first fault is raised afterwards.
+
+
+def _lead_survives(c: np.ndarray) -> bool:
+    """Whether the leading coefficient is positive and above the
+    ``Polynomial`` trim threshold ``TRIM_REL * max|c|``."""
+    return bool(c[-1] > TRIM_REL * np.max(np.abs(c)))
 
 
 # ----------------------------------------------------------------------
@@ -210,49 +218,7 @@ def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, fl
 # ----------------------------------------------------------------------
 
 
-def euclid_descend(p_hi: Polynomial, p_lo: Polynomial, tol: float = CONSISTENCY_TOL
-                   ) -> tuple[Polynomial, float, float]:
-    """One step down the three-term recurrence.
-
-    From ``x P_n - P_{n+1} = b_n P_n + u_n P_{n-1}``, dividing
-    ``x*p_lo - p_hi`` by ``p_lo`` must give a constant quotient (that is
-    ``b_n``) and a remainder ``u_n P_{n-1}``.  Returns
-    ``(P_{n-1}, b_n, u_n)``.
-
-    A quotient with nonconstant terms above ``tol * max|coeff|``, a
-    remainder of the wrong degree, or ``u_n <= 0`` all mean the pair did
-    not come from a positive three-term recurrence at working precision,
-    and raise ``NumericalError``.
-    """
-    if p_lo.is_zero or p_hi.is_zero:
-        raise ValueError("descent requires nonzero polynomials")
-    n = p_lo.degree
-    if n < 1 or p_hi.degree != n + 1:
-        raise ValueError("descent requires monic polynomials of consecutive degrees, n >= 1")
-    if abs(p_hi.lead - 1.0) > 1e-6 or abs(p_lo.lead - 1.0) > 1e-6:
-        raise ValueError("descent requires monic polynomials")
-    shifted = Polynomial(np.concatenate(([0.0], p_lo.coeffs)))
-    t = shifted - p_hi
-    q, rem = poly_divrem(t, p_lo)
-    scale = max(1.0, float(np.max(np.abs(t.coeffs), initial=0.0)))
-    if q.is_zero:
-        b = 0.0
-    else:
-        b = float(q.coeffs[0])
-        if q.degree > 0 and float(np.max(np.abs(q.coeffs[1:]))) > tol * scale:
-            raise NumericalError("descent quotient is not constant; "
-                                 "polynomials do not satisfy a three-term recurrence")
-    if rem.degree != n - 1:
-        raise NumericalError("descent remainder has the wrong degree; "
-                             "recurrence breakdown at working precision")
-    u = rem.lead
-    if not np.isfinite(u) or u <= 0:
-        raise NumericalError("descent produced a nonpositive weight u; "
-                             "spectrum is not realizable at working precision")
-    return rem.monic(), b, float(u)
-
-
-def _chain_arrays(hi: np.ndarray, lo: np.ndarray, checked: bool
+def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Full Euclidean descent on raw ascending coefficient arrays.
 
@@ -261,14 +227,8 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, checked: bool
     this module guarantee).  Then ``x*lo - hi`` has degree <= m with no
     cancellation checks needed, and each step costs a handful of vector
     operations -- this is the hot path behind ``le`` and ``mf``.
-
-    ``checked=False`` suspends the breakdown guards so the full
-    operation sequence runs even on coefficients that have degraded to
-    garbage; the caller uses that mode to measure algorithmic work, and
-    must discard the returned values.
+    Returns ``b_0..b_m`` and ``u_1..u_m``.
     """
-    if hi.size != lo.size + 1:
-        raise ValueError("descent chain requires consecutive degrees")
     m = lo.size - 1
     b = np.empty(m + 1)
     u = np.empty(m)
@@ -279,12 +239,10 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, checked: bool
         bk = t[k]
         rem = t[:-1] - bk * lo[:-1]
         uk = rem[k - 1]
-        if checked:
-            scale = float(np.max(np.abs(rem), initial=0.0))
-            if not np.isfinite(uk) or uk <= 0.0 or uk <= TRIM_REL * scale:
-                raise NumericalError(
-                    "descent produced a degenerate weight u at degree "
-                    f"{k}; spectrum is not realizable at working precision")
+        scale = float(np.max(np.abs(rem), initial=0.0))
+        if not np.isfinite(uk) or uk <= 0.0 or uk <= TRIM_REL * scale:
+            faults.append("descent produced a degenerate weight u at degree "
+                          f"{k}; spectrum is not realizable at working precision")
         b[k] = bk
         u[k - 1] = uk
         hi = lo
@@ -294,25 +252,12 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, checked: bool
     return b, u
 
 
-def _descend_chain(p_hi: Polynomial, p_lo: Polynomial, checked: bool = True
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Descend from ``(P_{m+1}, P_m)`` to ``P_0``: returns ``b_0..b_m, u_1..u_m``.
-
-    Step-for-step the same arithmetic as iterating
-    :func:`euclid_descend`, specialized to exactly monic inputs.
-    """
-    m = p_lo.degree
-    if m == float("-inf") or p_hi.degree != m + 1:
-        raise ValueError("descent chain requires consecutive degrees")
-    return _chain_arrays(p_hi.coeffs, p_lo.coeffs.copy(), checked)
-
-
 # ----------------------------------------------------------------------
 # the Stieltjes procedure
 # ----------------------------------------------------------------------
 
 
-def _stieltjes(x: np.ndarray, w: np.ndarray, nb: int, nu: int, checked: bool = True
+def _stieltjes(x: np.ndarray, w: np.ndarray, nb: int, nu: int, faults: list[str]
                ) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of the discrete measure ``sum w_s delta(x_s)``.
 
@@ -334,9 +279,9 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, nb: int, nu: int, checked: bool = T
         if k < nu:
             r = (x - bk) * q - a_prev * q_prev
             uk = float(np.sum(w * r * r))
-            if checked and (not np.isfinite(uk) or uk <= 0.0):
-                raise NumericalError("orthogonalization broke down: vanishing norm at "
-                                     f"degree {k + 1}")
+            if not np.isfinite(uk) or uk <= 0.0:
+                faults.append("orthogonalization broke down: vanishing norm at "
+                              f"degree {k + 1}")
             a = np.sqrt(uk)
             u[k] = uk
             q_prev, q, a_prev = q, r / a, a
@@ -366,80 +311,41 @@ def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> 
 # ----------------------------------------------------------------------
 
 
-def _padded(coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Coefficients as a writable array of exactly ``size`` entries.
-
-    The trim rule drops a monic polynomial's leading 1.0 once lower
-    coefficients exceed ~1e13 in magnitude; the unguarded work paths
-    restore the structural shape so the operation sequence can proceed.
-    """
-    out = np.zeros(size)
-    c = coeffs[:size]
-    out[:c.size] = c
-    return out
-
-
-def _gs_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     table, _ = weights_persymmetric(Spectrum(xh))
     n = xh.size - 1
-    return _stieltjes(xh, table.w, n + 1, n, checked)
+    return _stieltjes(xh, table.w, n + 1, n, faults)
 
 
-def _le_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = xh.size - 1
-    p_char = poly_from_roots(xh)
+    p_char = _roots_coeffs(xh)
+    if not _lead_survives(p_char):
+        faults.append("characteristic polynomial lost its degree; "
+                      "coefficient range exceeds working precision")
     signs = np.where((n + np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
-    chi_top = lagrange_interpolate(zip(xh, signs))
-    if checked:
-        if p_char.degree != n + 1:
-            raise NumericalError("characteristic polynomial lost its degree; "
-                                 "coefficient range exceeds working precision")
-        if chi_top.degree != n or chi_top.lead <= 0:
-            raise NumericalError("interpolated top polynomial is degenerate; "
-                                 "spectrum is not realizable at working precision")
-        return _chain_arrays(p_char.coeffs, chi_top.monic().coeffs, checked)
-    hi = _padded(p_char.coeffs, n + 2)
-    hi[n + 1] = 1.0
-    lo = _padded(chi_top.coeffs, n + 1)
-    if lo[n] != 0.0:
-        lo /= lo[n]
-    lo[n] = 1.0
-    return _chain_arrays(hi, lo, checked)
+    chi_top = _interp_coeffs(xh, signs)
+    if not _lead_survives(chi_top):
+        faults.append("interpolated top polynomial is degenerate; "
+                      "spectrum is not realizable at working precision")
+    lo = chi_top / chi_top[-1]
+    lo[-1] = 1.0
+    return _chain_arrays(p_char, lo, faults)
 
 
-def _mf_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _mf_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = xh.size - 1
-    if checked:
-        md = midpoint_data(Spectrum(xh))
-        p_hi, p_lo, coeff = midpoint_polys(md, n)
-        hi, lo = p_hi.coeffs, p_lo.coeffs
-    else:
-        # same construction on raw arrays, shapes forced, no guards
-        ev, od = xh[0::2], xh[1::2]
-        omega0, omega1 = poly_from_roots(ev), poly_from_roots(od)
-        delta = float(np.sum(od) - np.sum(ev))
-        half = (n + 1) // 2 if n % 2 else n // 2
-        if n % 2:
-            w0 = _padded(omega0.coeffs, half + 1)
-            w1 = _padded(omega1.coeffs, half + 1)
-            hi = 0.5 * (w0 + w1)
-            lo = (w0 - w1)[:half]
-            if delta != 0.0:
-                lo /= delta
-            coeff = 0.25 * delta * delta
-        else:
-            w0 = _padded(omega0.coeffs, half + 2)
-            w1 = _padded(omega1.coeffs, half + 1)
-            hi = 0.5 * (w0 + np.concatenate(([0.0], w1)))
-            hi[:half + 1] += (0.5 * delta) * w1
-            lo = w1
-            coeff = -delta
-        hi[-1] = 1.0
-        lo[-1] = 1.0
-    b_half, u_half = _chain_arrays(hi, lo, checked)
+    ev, od = xh[0::2], xh[1::2]
+    omega0, omega1 = _roots_coeffs(ev), _roots_coeffs(od)
+    if not (_lead_survives(omega0) and _lead_survives(omega1)):
+        faults.append("sublattice polynomial lost its degree; "
+                      "coefficient range exceeds working precision")
+    hi, lo, coeff = _midpoint_arrays(omega0, omega1, float(np.sum(ev)),
+                                     float(np.sum(od)), n, faults)
+    b_half, u_half = _chain_arrays(hi, lo, faults)
     if n % 2:
-        if checked and coeff <= 0:
-            raise NumericalError("midpoint closing weight is nonpositive")
+        if coeff <= 0:
+            faults.append("midpoint closing weight is nonpositive")
         b = np.concatenate((b_half, b_half[::-1]))
         u = np.concatenate((u_half, [coeff], u_half[::-1]))
     else:
@@ -450,7 +356,7 @@ def _mf_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarr
     return b, u
 
 
-def _hl_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = xh.size - 1
     ev, od = xh[0::2], xh[1::2]
     sigma0, sigma1 = float(np.sum(ev)), float(np.sum(od))
@@ -459,53 +365,52 @@ def _hl_core(xh: np.ndarray, checked: bool = True) -> tuple[np.ndarray, np.ndarr
         half_n = (n - 1) // 2
         if half_n:
             b_half, u_half = _stieltjes(even_table.points.values, even_table.w,
-                                        half_n, half_n, checked)
+                                        half_n, half_n, faults)
         else:
             b_half, u_half = np.empty(0), np.empty(0)
         b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_half))
         u_mid = 0.25 * (sigma1 - sigma0) ** 2
-        if checked and u_mid <= 0:
-            raise NumericalError("half-lattice closing weight is nonpositive")
+        if u_mid <= 0:
+            faults.append("half-lattice closing weight is nonpositive")
         b_low = np.concatenate((b_half, [b_mid]))
         b = np.concatenate((b_low, b_low[::-1]))
         u = np.concatenate((u_half, [u_mid], u_half[::-1]))
     else:
         half_n = n // 2
         b_half, u_half = _stieltjes(odd_table.points.values, odd_table.w,
-                                    half_n, half_n - 1, checked)
+                                    half_n, half_n - 1, faults)
         b_mid = sigma0 - sigma1
         # u_L is pinned by the midpoint polynomial identity
         # (x - b_L) * omega1 - P_{L+1} = u_L * P_{L-1}: matching the
         # coefficient of x^(L-1) reduces it to sublattice power sums
         q0, q1 = float(np.sum(ev * ev)), float(np.sum(od * od))
         u_mid = 0.25 * (q0 - q1 - (sigma1 - sigma0) ** 2)
-        if checked and u_mid <= 0:
-            raise NumericalError("half-lattice closing weight is nonpositive; "
-                                 "spectrum is not realizable at working precision")
+        if u_mid <= 0:
+            faults.append("half-lattice closing weight is nonpositive; "
+                          "spectrum is not realizable at working precision")
         b = np.concatenate((b_half, [b_mid], b_half[::-1]))
         u_low = np.concatenate((u_half, [u_mid]))
         u = np.concatenate((u_low, u_low[::-1]))
     return b, u
 
 
-_CORES = {"gs": _gs_core, "le": _le_core, "mf": _mf_core, "hl": _hl_core}
+def _reconstruct(core, spectrum) -> MonicJacobi:
+    """Run ``core`` on the spectrum mapped onto [-1, 1] and map back.
 
-
-def _run_unchecked(algorithm: str, spectrum) -> None:
-    """Execute an algorithm's full operation sequence without guards.
-
-    Timing support for the benchmark harness: the breakdown checks that
-    would normally abort a run mid-course are suspended, so wall time
-    measures the work the algorithm prescribes at this size rather than
-    the time to the first guard.  Results are discarded -- on spectra
-    where the strict run breaks down they are garbage by construction.
+    The core runs its full operation sequence whatever its guards find;
+    the first fault they recorded is raised as ``NumericalError`` once
+    it returns.
     """
     spec = Spectrum.coerce(spectrum)
     if spec.n == 0:
-        return
-    xh, _, _ = _affine_pullback(spec)
+        return MonicJacobi(spec.values, ())
+    xh, mu, rho = _affine_pullback(spec)
+    faults: list[str] = []
     with np.errstate(all="ignore"):
-        _CORES[algorithm](xh, checked=False)
+        b, u = core(xh, faults)
+    if faults:
+        raise NumericalError(faults[0])
+    return _affine_pushforward(b, u, mu, rho)
 
 
 # ----------------------------------------------------------------------
@@ -521,12 +426,7 @@ def reconstruct_gram_schmidt_full(spectrum) -> MonicJacobi:
     ``<f, g> = sum_s w_s f(x_s) g(x_s)``, reading off all ``N+1``
     diagonal and ``N`` off-diagonal coefficients directly.
     """
-    spec = Spectrum.coerce(spectrum)
-    if spec.n == 0:
-        return MonicJacobi(spec.values, ())
-    xh, mu, rho = _affine_pullback(spec)
-    b, u = _gs_core(xh)
-    return _affine_pushforward(b, u, mu, rho)
+    return _reconstruct(_gs_core, spectrum)
 
 
 def reconstruct_lagrange_euclid(spectrum) -> MonicJacobi:
@@ -537,12 +437,7 @@ def reconstruct_lagrange_euclid(spectrum) -> MonicJacobi:
     ``(-1)^{N+s}`` at the nodes.  The full Euclidean descent then yields
     every coefficient.
     """
-    spec = Spectrum.coerce(spectrum)
-    if spec.n == 0:
-        return MonicJacobi(spec.values, ())
-    xh, mu, rho = _affine_pullback(spec)
-    b, u = _le_core(xh)
-    return _affine_pushforward(b, u, mu, rho)
+    return _reconstruct(_le_core, spectrum)
 
 
 def reconstruct_mirror_fold(spectrum) -> MonicJacobi:
@@ -554,12 +449,7 @@ def reconstruct_mirror_fold(spectrum) -> MonicJacobi:
     Roughly a quarter of the Lagrange-Euclid work, since every
     polynomial involved has half the degree.
     """
-    spec = Spectrum.coerce(spectrum)
-    if spec.n == 0:
-        return MonicJacobi(spec.values, ())
-    xh, mu, rho = _affine_pullback(spec)
-    b, u = _mf_core(xh)
-    return _affine_pushforward(b, u, mu, rho)
+    return _reconstruct(_mf_core, spectrum)
 
 
 def reconstruct_half_lattice(spectrum) -> MonicJacobi:
@@ -573,12 +463,7 @@ def reconstruct_half_lattice(spectrum) -> MonicJacobi:
     root sums and ``u_L`` by matching the midpoint polynomial
     ``P_{L+1}``.  Mirror symmetry fills in the rest.
     """
-    spec = Spectrum.coerce(spectrum)
-    if spec.n == 0:
-        return MonicJacobi(spec.values, ())
-    xh, mu, rho = _affine_pullback(spec)
-    b, u = _hl_core(xh)
-    return _affine_pushforward(b, u, mu, rho)
+    return _reconstruct(_hl_core, spectrum)
 
 
 #: Registry of the reconstruction algorithms by their short ids.

@@ -227,6 +227,27 @@ class TestExitCodes:
         assert doc[2]["entry_err"] is None  # nan maps to null
         assert doc[0]["entry_err"] <= 1e-12
 
+    def test_bench_round_trip_breakdown_at_512_stays_in_band(self, tmp_path, capsys):
+        # gs completes at N = 512, but its drifted matrix makes the
+        # round-trip eigensolve break down: that cell reads inf, the
+        # report is still written
+        config = _write(tmp_path, "c.json", {
+            "families": [{"kind": "symmetric-linear", "N": 512}],
+            "algorithms": ["hl", "gs"], "reps": 1})
+        assert main(["bench", "--config", config]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        cells = {row[2]: (float(row[4]), float(row[5])) for row in rows}
+        assert cells["gs"] == (np.inf, np.inf)
+        assert np.all(np.isfinite(cells["hl"]))
+
+    def test_verify_at_513_points_fails_instead_of_aborting(self, tmp_path, capsys):
+        spec = _write(tmp_path, "s.json", list(range(-256, 257)))
+        assert main(["verify", spec]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name["spectral-roundtrip"]["status"] == "fail"
+        assert by_name["four-way-agreement"]["status"] == "fail"
+
 
 # ----------------------------------------------------------------------
 # reconstruct is inverse to forward

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persymjac.polynomials import (Polynomial, lagrange_interpolate, poly_derivative,
-                                   poly_divrem, poly_eval, poly_from_roots)
+                                   poly_divrem, poly_from_roots)
 
 
 def _coeffs(p: Polynomial, size: int) -> np.ndarray:
@@ -117,13 +117,13 @@ class TestFromRoots:
 
 class TestEval:
     def test_root_evaluates_to_zero(self):
-        assert poly_eval(Polynomial([-1.0, 0.0, 1.0]), 1.0) == 0.0
+        assert Polynomial([-1.0, 0.0, 1.0])(1.0) == 0.0
 
     def test_constant(self):
-        assert poly_eval(Polynomial([1.0]), 7.3) == 1.0
+        assert Polynomial([1.0])(7.3) == 1.0
 
     def test_cubic_at_three(self):
-        assert poly_eval(Polynomial([0.0, 2.0, -3.0, 1.0]), 3.0) == 6.0
+        assert Polynomial([0.0, 2.0, -3.0, 1.0])(3.0) == 6.0
 
 
 class TestDivRem:

@@ -16,15 +16,15 @@ from persymjac.errors import NumericalError
 from persymjac.jacobi import (MonicJacobi, Spectrum, eigenvalues,
                               recurrence_polynomials, weights_persymmetric)
 from persymjac.polynomials import Polynomial, poly_from_roots
+from persymjac.benchmark import SpectrumFamily, generate_spectrum
 from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
-                                      divided_difference, euclid_descend,
                                       midpoint_data, midpoint_polys, moments,
                                       poly_from_moments_hankel,
                                       reconstruct_gram_schmidt_full,
                                       reconstruct_half_lattice,
                                       reconstruct_lagrange_euclid,
                                       reconstruct_mirror_fold,
-                                      sublattice_weights, _run_unchecked)
+                                      sublattice_weights, _chain_arrays)
 
 FROZEN_SPECTRA = (
     ((-1.0, 1.0), (0.0, 0.0), (1.0,)),
@@ -47,27 +47,6 @@ def _gapped_spectrum(rng: np.random.Generator, n: int) -> Spectrum:
 # ----------------------------------------------------------------------
 # measure-side helpers
 # ----------------------------------------------------------------------
-
-
-class TestDividedDifference:
-    def test_pinned_values(self):
-        pts = np.array([0.0, 1.0])
-        assert divided_difference(pts, pts**2) == 1.0
-        pts = np.array([0.0, 1.0, 2.0])
-        assert divided_difference(pts, np.ones(3)) == 0.0
-        pts = np.array([-1.0, 0.0, 1.0, 2.0])
-        assert abs(divided_difference(pts, pts**3) - 1.0) <= 1e-15
-
-    def test_single_point_returns_the_value(self):
-        assert divided_difference([2.0], [7.5]) == 7.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            divided_difference([0.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            divided_difference([], [])
-        with pytest.raises(ValueError):
-            divided_difference([0.0, 0.0], [1.0, 2.0])
 
 
 class TestMoments:
@@ -211,43 +190,24 @@ class TestMidpointPolys:
         assert good.degree == 2
 
 
-class TestEuclidDescend:
+class TestDescentChain:
     def test_pinned_steps(self):
-        rem, b, u = euclid_descend(Polynomial([-1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
-        assert np.array_equal(rem.coeffs, [1.0])
-        assert (b, u) == (0.0, 1.0)
-        rem, b, u = euclid_descend(Polynomial([-0.75, 0.0, 1.0]), Polynomial([0.0, 1.0]))
-        assert np.array_equal(rem.coeffs, [1.0])
-        assert (b, u) == (0.0, 0.75)
-        rem, b, u = euclid_descend(Polynomial([0.5, -2.0, 1.0]), Polynomial([-1.0, 1.0]))
-        assert np.array_equal(rem.coeffs, [1.0])
-        assert (b, u) == (1.0, 0.5)
+        faults = []
+        for hi, lo, b, u in (([-1.0, 0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0]),
+                             ([-0.75, 0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.75]),
+                             ([0.5, -2.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [0.5])):
+            got_b, got_u = _chain_arrays(np.array(hi), np.array(lo), faults)
+            assert np.array_equal(got_b, b)
+            assert np.array_equal(got_u, u)
+        assert faults == []
 
-    def test_rejects_non_monic_input(self):
-        with pytest.raises(ValueError):
-            euclid_descend(Polynomial([-1.0, 0.0, 2.0]), Polynomial([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            euclid_descend(Polynomial([-1.0, 0.0, 1.0]), Polynomial([0.0, 2.0]))
-
-    def test_rejects_wrong_degrees_and_zero(self):
-        with pytest.raises(ValueError):
-            euclid_descend(Polynomial([0.0, -1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            euclid_descend(Polynomial([0.0, 1.0]), Polynomial([1.0]))
-        with pytest.raises(ValueError):
-            euclid_descend(Polynomial([0.0]), Polynomial([0.0, 1.0]))
-
-    def test_nonpositive_weight_is_a_numerical_error(self):
-        with pytest.raises(NumericalError):
-            euclid_descend(Polynomial([1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
-
-    def test_nonconstant_quotient_is_a_numerical_error(self):
-        # a leading coefficient off by 1e-7 passes the monicity gate but
-        # leaves a linear term in the quotient
-        p_hi = Polynomial([0.0, 0.0, 0.0, 1.0 + 1e-7])
-        p_lo = Polynomial([0.0, 0.0, 1.0])
-        with pytest.raises(NumericalError):
-            euclid_descend(p_hi, p_lo)
+    def test_nonpositive_weight_is_recorded_and_the_descent_runs_on(self):
+        faults = []
+        b, u = _chain_arrays(np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0]), faults)
+        assert faults == ["descent produced a degenerate weight u at degree 1; "
+                          "spectrum is not realizable at working precision"]
+        assert np.array_equal(b, [0.0, 0.0])
+        assert np.array_equal(u, [-1.0])
 
 
 # ----------------------------------------------------------------------
@@ -339,12 +299,25 @@ class TestReconstructorsSeeded:
                 got = np.array([np.sum(w * x**k) for k in range(n)])
                 assert np.max(np.abs(got - full)) <= 1e-11
 
-    def test_unchecked_runs_complete_at_large_sizes(self):
-        # the timing path must execute every algorithm to completion even
-        # where the strict run would abort (le breaks down around N=64)
+    def test_every_algorithm_returns_or_breaks_down_numerically(self):
+        # le breaks down around N = 64; a breakdown must surface as a
+        # NumericalError, never as another exception
         spec = Spectrum(np.arange(65, dtype=float))
-        for name in ALGORITHMS:
-            assert _run_unchecked(name, spec) is None
+        for fn in ALGORITHMS.values():
+            try:
+                rec = fn(spec)
+            except NumericalError:
+                continue
+            assert rec.n == 64
+
+
+class TestLargeSpectra:
+    def test_mirror_fold_overflowing_sublattice_polynomial_is_a_numerical_error(self):
+        # at N = 359 the sublattice polynomials' coefficients pass 1e13,
+        # so their leading terms fall below the trim threshold
+        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 359, {"step": 2 / 359}))
+        with pytest.raises(NumericalError):
+            reconstruct_mirror_fold(spec)
 
 
 # ----------------------------------------------------------------------
