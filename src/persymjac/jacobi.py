@@ -11,8 +11,12 @@ form with ``u_n = a_n**2 > 0``.  The associated monic polynomials obey
 when it equals its reflection through the anti-diagonal:
 ``a_{N+1-i} = a_i`` and ``b_{N-i} = b_i``.
 
-Eigenvalues are computed without forming a dense matrix: a Sturm-count
-bisection on the recurrence followed by a short Newton polish.  Node
+Eigenvalues are computed without forming a dense matrix: bisection on
+Sturm counts of the recurrence, followed by a short Newton polish.  The
+bisection runs as a multisection sweep: one pass of the recurrence
+counts at the midpoints of the next several levels of every bracket's
+bisection tree, and a walk down the tree with those counts narrows the
+brackets exactly as that many single bisection steps would.  Node
 weights come from the classical formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
@@ -33,6 +37,10 @@ from .polynomials import Polynomial
 
 # Bisection brackets are narrowed to this absolute width before Newton.
 _BISECT_ABS = 1e-13
+# Most Sturm-count points in one multisection sweep.  Per-call overhead
+# dominates a sweep at small N, so a wider sweep pays until the arithmetic
+# catches up; from 171 points on each sweep is a single bisection step.
+_SWEEP_WIDTH = 512
 # Relative gap below which two spectral points count as duplicates.
 _DUP_REL = 1e-12
 
@@ -246,16 +254,28 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) ->
 
     Runs the Sturm chain of the recurrence in ratio (pivot) form
     ``d_i = (b_i - x) - u_i / d_{i-1}``; the sign changes of the monic
-    chain ``P_0(x)..P_{N+1}(x)`` are exactly the negative pivots.
+    chain ``P_0(x)..P_{N+1}(x)`` are exactly the negative pivots.  A pivot
+    smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``.
+
+    At small N the cost is the number of NumPy calls per row, not the
+    arithmetic, so each row works in place on preallocated buffers and
+    only records its negative pivots; they are counted once at the end.
     """
-    d = b[0] - xs
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    cnt = (d < 0).astype(np.int64)
-    for i in range(1, b.size):
-        d = (b[i] - xs) - u[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        cnt += d < 0
-    return cnt
+    neg = np.empty((b.size, xs.size), dtype=bool)
+    tiny = np.empty(xs.shape, dtype=bool)
+    t = np.empty_like(xs)
+    bl, ul = b.tolist(), u.tolist()
+    d = np.subtract(bl[0], xs)
+    for i in range(b.size):
+        if i:
+            np.subtract(bl[i], xs, out=t)
+            np.divide(ul[i - 1], d, out=d)
+            np.subtract(t, d, out=d)
+        np.abs(d, out=t)
+        np.less(t, pivmin, out=tiny)
+        np.copyto(d, -pivmin, where=tiny)
+        np.less(d, 0.0, out=neg[i])
+    return np.count_nonzero(neg, axis=0)
 
 
 def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
@@ -264,6 +284,11 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     All four recurrence carriers are rescaled jointly per point whenever
     their magnitude leaves a safe window, so only a common positive
     factor is lost; the accumulated log-scale is returned alongside.
+
+    The magnitude ``max(|p|, |dp|)`` of each row is carried into the
+    next, which needs the same maximum over its previous row.  Scaling by
+    a positive factor commutes with ``abs`` and ``max`` under monotone
+    rounding, so the carried value stays exact across a rescale.
     """
     xs = np.asarray(xs, dtype=float)
     p_prev = np.ones_like(xs)
@@ -271,29 +296,69 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     dp_prev = np.zeros_like(xs)
     dp = np.ones_like(xs)
     logscale = np.zeros_like(xs)
-    for i in range(1, b.size):
-        t = xs - b[i]
-        p_next = t * p - u[i - 1] * p_prev
-        dp_next = p + t * dp - u[i - 1] * dp_prev
+    top_prev = np.maximum(np.abs(p), np.abs(dp))
+    for bi, ui in zip(b[1:].tolist(), u.tolist()):
+        t = xs - bi
+        p_next = t * p - ui * p_prev
+        dp_next = p + t * dp - ui * dp_prev
         p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-        m = np.maximum(np.maximum(np.abs(p), np.abs(p_prev)),
-                       np.maximum(np.abs(dp), np.abs(dp_prev)))
-        stretch = (m > 1e120) | ((m > 0) & (m < 1e-120))
-        if np.any(stretch):
-            s = np.where(stretch, 1.0 / m, 1.0)
-            p_prev, p, dp_prev, dp = p_prev * s, p * s, dp_prev * s, dp * s
-            logscale = logscale - np.log(s)
+        top = np.maximum(np.abs(p), np.abs(dp))
+        m = np.maximum(top, top_prev)
+        # fmax/fmin skip NaN, which the elementwise window test never flags
+        if np.fmax.reduce(m) > 1e120 or np.fmin.reduce(m) < 1e-120:
+            stretch = (m > 1e120) | ((m > 0) & (m < 1e-120))
+            if np.any(stretch):
+                s = np.where(stretch, 1.0 / m, 1.0)
+                p_prev, p, dp_prev, dp = p_prev * s, p * s, dp_prev * s, dp * s
+                top = top * s
+                logscale = logscale - np.log(s)
+        top_prev = top
     return p_prev, p, dp, logscale
+
+
+def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               depth: int, pivmin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``depth`` bisection steps on every bracket with one Sturm sweep.
+
+    Bracket ``k`` holds eigenvalue ``k``.  The first ``depth`` levels of
+    its bisection tree are laid out as a grid of ``2**depth + 1`` points,
+    each midpoint rounded as ``0.5 * (left + right)`` of its own parent
+    interval.  One sweep counts at every interior point, and the walk down
+    the tree then picks the side a step-by-step bisection would have
+    picked, so the returned brackets are the same to the last bit.
+    """
+    n1 = lo.size
+    ks = np.arange(n1)
+    span = 1 << depth
+    grid = np.empty((n1, span + 1))
+    grid[:, 0] = lo
+    grid[:, span] = hi
+    step = span
+    while step > 1:
+        half = step // 2
+        grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
+        step = half
+    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel(), pivmin).reshape(n1, span - 1)
+    pos = np.zeros(n1, dtype=np.intp)
+    half = span
+    while half > 1:
+        half //= 2
+        pos += half * (cnt[ks, pos + half - 1] <= ks)
+    return grid[ks, pos], grid[ks, pos + 1]
 
 
 def eigenvalues(K: MonicJacobi) -> Spectrum:
     """All eigenvalues of ``K``, strictly increasing.
 
-    Sturm-count bisection on the interval
+    Bisection on Sturm counts from the interval
     ``[min b - 2 sum|a|, max b + 2 sum|a|]`` down to absolute width
     1e-13, then at most five Newton steps on the characteristic
-    polynomial, clamped to the certified bracket.  No dense matrix is
-    formed.  Positive ``u_n`` guarantee the eigenvalues are simple.
+    polynomial, clamped to the certified bracket.  The bisection runs as
+    a multisection: one Sturm sweep evaluates the next several levels of
+    every bracket's bisection tree at once, as many as fit in
+    ``_SWEEP_WIDTH`` points, and yields exactly the brackets that one
+    midpoint per sweep would.  No dense matrix is formed.  Positive
+    ``u_n`` guarantee the eigenvalues are simple.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -303,16 +368,14 @@ def eigenvalues(K: MonicJacobi) -> Spectrum:
     lo0 = float(np.min(b)) - reach
     hi0 = float(np.max(b)) + reach
     pivmin = 1e-292 * max(1.0, float(np.max(u)))
-    ks = np.arange(n1)
     lo = np.full(n1, lo0)
     hi = np.full(n1, hi0)
     iters = int(np.ceil(np.log2(max((hi0 - lo0) / _BISECT_ABS, 2.0)))) + 1
-    for _ in range(min(iters, 200)):
-        mid = 0.5 * (lo + hi)
-        cnt = _sturm_count(b, u, mid, pivmin)
-        low_side = cnt <= ks
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
+    levels = min(iters, 200)
+    # the deepest tree whose n1 * (2**depth - 1) midpoints fit in one sweep
+    depth = max(1, (_SWEEP_WIDTH // n1 + 1).bit_length() - 1)
+    for done in range(0, levels, depth):
+        lo, hi = _multisect(b, u, lo, hi, min(depth, levels - done), pivmin)
     lam = 0.5 * (lo + hi)
     for _ in range(5):
         _, val, dval, _ = _char_eval(b, u, lam)

@@ -321,10 +321,10 @@ def test_criterion_09_cli_golden_files_and_exit_codes(tmp_path, capsys):
             if ok else "; ".join(failures), capsys)
 
 
-def test_entry_point_smoke(tmp_path, capsys):
+def test_entry_point_smoke(tmp_path, capsys, child_env):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"n": 1, "b": [0, 0], "a": [1]}), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "persymjac", "forward", str(mat)],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=child_env)
     ok = proc.returncode == 0 and json.loads(proc.stdout)["spectrum"] == [-1.0, 1.0]
     _report(0, "module entry point", ok, "python -m persymjac runs the CLI", capsys)

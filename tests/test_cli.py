@@ -247,6 +247,27 @@ class TestExitCodes:
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["spectral-roundtrip"]["status"] == "fail"
         assert by_name["four-way-agreement"]["status"] == "fail"
+        # the moments x**k and the orthonormal values overflow here: a NaN
+        # residual must fail as inf, never pass or reach the JSON as NaN
+        for name in ("sublattice-moments", "mirror-relation"):
+            assert by_name[name] == {"name": name, "status": "fail", "residual": np.inf}
+
+    def test_successive_calls_share_one_parser(self, tmp_path, capsys):
+        mat = _write(tmp_path, "m.json", MAT_2X2)
+        spec = _write(tmp_path, "s.json", SYM4)
+        runs = [["forward", mat], ["verify", spec], ["forward", mat], ["verify", spec]]
+        outs = []
+        for argv in runs:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2] == _golden("forward_2x2.json")
+        assert outs[1] == outs[3]
+        assert json.loads(outs[1])["passed"] is True
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", mat, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(["forward", mat]) == 0
+        assert capsys.readouterr().out == outs[0]
 
 
 # ----------------------------------------------------------------------
@@ -282,10 +303,10 @@ class TestRoundTripIdentity:
 
 
 class TestEntryPoint:
-    def test_python_dash_m_smoke(self, tmp_path):
+    def test_python_dash_m_smoke(self, tmp_path, child_env):
         mat = _write(tmp_path, "m.json", MAT_2X2)
         proc = subprocess.run([sys.executable, "-m", "persymjac", "forward", mat],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=child_env)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert np.max(np.abs(np.array(doc["spectrum"]) - [-1.0, 1.0])) <= 1e-12

@@ -28,6 +28,14 @@ def _random_persymmetric(rng: np.random.Generator, n: int) -> MonicJacobi:
     return MonicJacobi(b, a * a)
 
 
+def _equally_spaced(n: int, centre: float) -> MonicJacobi:
+    """The coupling profile ``u_n = h^2 n (N+1-n) / 4`` with constant
+    diagonal, whose spectrum is exactly equally spaced with step ``h = 2/N``."""
+    h = 2.0 / n
+    idx = np.arange(1, n + 1, dtype=float)
+    return MonicJacobi(np.full(n + 1, centre), h * h * idx * (n + 1 - idx) / 4.0)
+
+
 # ----------------------------------------------------------------------
 # value types
 # ----------------------------------------------------------------------
@@ -177,14 +185,139 @@ class TestEigenvalues:
             assert np.max(np.abs(got - want)) <= 1e-11
 
     def test_equally_spaced_spectrum_at_large_size(self):
-        # the coupling profile u_n = h^2 n (N+1-n) / 4 with constant
-        # diagonal produces an exactly equally spaced spectrum
         n = 64
-        h = 2.0 / n
-        idx = np.arange(1, n + 1, dtype=float)
-        k = MonicJacobi(np.zeros(n + 1), h * h * idx * (n + 1 - idx) / 4.0)
-        want = -1.0 + h * np.arange(n + 1)
-        assert np.max(np.abs(eigenvalues(k).values - want)) <= 1e-12
+        want = -1.0 + (2.0 / n) * np.arange(n + 1)
+        assert np.max(np.abs(eigenvalues(_equally_spaced(n, 0.0)).values - want)) <= 1e-12
+
+
+# Reference forward solver: plain bisection with one Sturm count per
+# bracket per sweep, the same Newton polish, and the weight formula on an
+# unfused recurrence.  ``eigenvalues`` and ``weights_general`` evaluate
+# the same roundings in a different order of NumPy calls, so they must
+# agree with it bit for bit.
+
+
+def _ref_sturm_count(b, u, xs, pivmin):
+    d = b[0] - xs
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    cnt = (d < 0).astype(np.int64)
+    for i in range(1, b.size):
+        d = (b[i] - xs) - u[i - 1] / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        cnt += d < 0
+    return cnt
+
+
+def _ref_char_eval(b, u, xs):
+    p_prev, p = np.ones_like(xs), xs - b[0]
+    dp_prev, dp = np.zeros_like(xs), np.ones_like(xs)
+    logscale = np.zeros_like(xs)
+    for i in range(1, b.size):
+        t = xs - b[i]
+        p_next = t * p - u[i - 1] * p_prev
+        dp_next = p + t * dp - u[i - 1] * dp_prev
+        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        m = np.maximum(np.maximum(np.abs(p), np.abs(p_prev)),
+                       np.maximum(np.abs(dp), np.abs(dp_prev)))
+        stretch = (m > 1e120) | ((m > 0) & (m < 1e-120))
+        if np.any(stretch):
+            s = np.where(stretch, 1.0 / m, 1.0)
+            p_prev, p, dp_prev, dp = p_prev * s, p * s, dp_prev * s, dp * s
+            logscale = logscale - np.log(s)
+    return p_prev, p, dp, logscale
+
+
+def _ref_eigenvalues(k: MonicJacobi) -> np.ndarray:
+    b, u = k.b, k.u
+    n1 = b.size
+    if n1 == 1:
+        return b.copy()
+    reach = 2.0 * float(np.sum(np.sqrt(u)))
+    lo0, hi0 = float(np.min(b)) - reach, float(np.max(b)) + reach
+    pivmin = 1e-292 * max(1.0, float(np.max(u)))
+    ks = np.arange(n1)
+    lo, hi = np.full(n1, lo0), np.full(n1, hi0)
+    iters = int(np.ceil(np.log2(max((hi0 - lo0) / 1e-13, 2.0)))) + 1
+    for _ in range(min(iters, 200)):
+        mid = 0.5 * (lo + hi)
+        low_side = _ref_sturm_count(b, u, mid, pivmin) <= ks
+        lo = np.where(low_side, mid, lo)
+        hi = np.where(low_side, hi, mid)
+    lam = 0.5 * (lo + hi)
+    for _ in range(5):
+        _, val, dval, _ = _ref_char_eval(b, u, lam)
+        safe = dval != 0.0
+        step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
+        new = np.clip(lam - step, lo, hi)
+        moved = float(np.max(np.abs(new - lam)))
+        lam = new
+        if moved == 0.0:
+            break
+    try:
+        return Spectrum(lam).values
+    except ValueError as exc:
+        raise NumericalError(f"eigenvalues failed to separate: {exc}") from exc
+
+
+def _ref_weights(k: MonicJacobi, x: np.ndarray):
+    """Weights as ``weights_general`` computes them (None where it raises),
+    and whether the recurrence had to rescale."""
+    pN, _, dpN1, logscale = _ref_char_eval(k.b, k.u, x)
+    rescaled = bool(np.any(logscale != 0.0))
+    prod = pN * dpN1
+    if np.any(prod <= 0) or not np.all(np.isfinite(prod)):
+        return None, rescaled
+    logh = float(np.sum(np.log(k.u))) if k.u.size else 0.0
+    logw = logh - (np.log(prod) + 2.0 * logscale)
+    top = float(np.max(logw))
+    logw -= top + float(np.log(np.sum(np.exp(logw - top))))
+    w = np.exp(logw)
+    w /= np.sum(w)
+    return np.maximum(w, 0.0), rescaled
+
+
+def _forward_family():
+    rng = np.random.default_rng(3010)
+    yield MonicJacobi([0.7], [])
+    yield MonicJacobi([0.1, -0.4], [0.3])
+    for n in range(1, 41, 3):
+        b = rng.uniform(-1.0, 1.0, n + 1)
+        a = rng.uniform(0.3, 1.2, n)
+        yield MonicJacobi(b, a * a)
+        yield _random_persymmetric(rng, n)
+        # tiny entries drive the recurrence below 1e-120 from 24 points
+        # on, huge ones above 1e120 near 40: both take the rescale branch
+        for scale in (1e-6, 1e4):
+            yield MonicJacobi(b * scale, (a * scale) ** 2)
+    for n in (1, 4, 31, 64, 169, 512):
+        yield _equally_spaced(n, float(rng.uniform(-0.5, 0.5)))
+
+
+class TestForwardSolverBits:
+    def test_matches_the_reference_bit_for_bit(self):
+        rescaled = 0
+        for k in _forward_family():
+            want = _ref_eigenvalues(k)
+            got = eigenvalues(k).values
+            assert got.tobytes() == want.tobytes(), k.n
+            want_w, fired = _ref_weights(k, want)
+            rescaled += fired
+            if want_w is None:
+                with pytest.raises(NumericalError):
+                    weights_general(k, got)
+            else:
+                assert weights_general(k, got).w.tobytes() == want_w.tobytes(), k.n
+        assert rescaled >= 3
+
+    def test_near_degenerate_pair_fails_with_the_same_message(self):
+        # Wilkinson's W_31^+: its top two eigenvalues agree in double precision
+        k = MonicJacobi(np.abs(np.arange(-15.0, 16.0)), np.ones(30))
+        with pytest.raises(NumericalError) as want:
+            _ref_eigenvalues(k)
+        with pytest.raises(NumericalError) as got:
+            eigenvalues(k)
+        assert str(got.value) == str(want.value)
+        assert "failed to separate" in str(got.value)
 
 
 # ----------------------------------------------------------------------
