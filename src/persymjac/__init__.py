@@ -18,10 +18,9 @@ from .jacobi import (MonicJacobi, OrthoPolySystem, Spectrum, SymmetricJacobi,
 from .polynomials import (Polynomial, lagrange_interpolate, poly_derivative,
                           poly_divrem, poly_from_roots)
 from .reconstruction import (ALGORITHMS, MidpointData, MomentSequence, midpoint_data,
-                             midpoint_polys, moments, poly_from_moments_hankel,
-                             reconstruct_gram_schmidt_full, reconstruct_half_lattice,
-                             reconstruct_lagrange_euclid, reconstruct_mirror_fold,
-                             sublattice_weights)
+                             midpoint_polys, moments, reconstruct_gram_schmidt_full,
+                             reconstruct_half_lattice, reconstruct_lagrange_euclid,
+                             reconstruct_mirror_fold, sublattice_weights)
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "moments",
     "poly_derivative",
     "poly_divrem",
-    "poly_from_moments_hankel",
     "poly_from_roots",
     "records_to_csv",
     "records_to_json",

@@ -242,29 +242,33 @@ def config_from_dict(doc: dict) -> BenchConfig:
 
 
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
-    """One record per (family, algorithm) cell, timed sequentially.
+    """One record per (family, algorithm) cell.
 
-    The timed region is the strict public call.  Its guards never cut
-    the operation sequence short -- the first breakdown is raised after
-    it -- so a breakdown cannot censor the measurement and turn the
-    timing comparison into a comparison of failure points.  Accuracy
-    fields come from :func:`roundtrip_error`, which reports a breakdown
-    as infinite errors.  Generation and accuracy measurement run outside
-    the timed region.
+    Within a family the repetitions are interleaved: each round times
+    every algorithm once, so all of the family's medians come from the
+    same stretch of time and a change in machine speed cannot favour
+    one algorithm over another.  The timed region is the strict public
+    call.  Its guards never cut the operation sequence short -- the
+    first breakdown is raised after it -- so a breakdown cannot censor
+    the measurement and turn the timing comparison into a comparison of
+    failure points.  Accuracy fields come from :func:`roundtrip_error`,
+    which reports a breakdown as infinite errors.  Generation and
+    accuracy measurement run outside the timed region.
     """
     records = []
     for fam in config.families:
         spec = generate_spectrum(fam)
         truth = linear_ground_truth(fam)
-        for alg in config.algorithms:
-            times = []
-            for _ in range(config.reps):
+        times = [[] for _ in config.algorithms]
+        for _ in range(config.reps):
+            for alg, cell in zip(config.algorithms, times):
                 t0 = time.perf_counter_ns()
                 try:
                     ALGORITHMS[alg](spec)
                 except NumericalError:
                     pass  # reported by roundtrip_error below
-                times.append(time.perf_counter_ns() - t0)
+                cell.append(time.perf_counter_ns() - t0)
+        for alg, cell in zip(config.algorithms, times):
             entry, residual = roundtrip_error(spec, alg, truth)
             if math.isfinite(entry) and entry > ACCURACY_FLAG:
                 warnings.warn(
@@ -272,7 +276,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
                     f"exceeds {ACCURACY_FLAG:.0e} (double precision limit)",
                     stacklevel=2)
             records.append(BenchRecord(fam.kind, fam.n, alg,
-                                       int(statistics.median(times)),
+                                       int(statistics.median(cell)),
                                        entry, residual, config.reps))
     return records
 

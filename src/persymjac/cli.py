@@ -27,8 +27,9 @@ from .benchmark import (config_from_dict, default_config, records_to_csv,
 from .deformation import deform_closed_form, deformed_weights
 from .errors import NumericalError
 from .jacobi import (Spectrum, SymmetricJacobi, eigenvalues, mirror_residual,
-                     weights_general)
-from .reconstruction import ALGORITHMS, moments, sublattice_weights
+                     weights_general, weights_persymmetric)
+from .reconstruction import (ALGORITHMS, _closing, _sublattices, moments,
+                             sublattice_weights)
 
 #: CLI-facing persymmetry tolerance for ``deform``.
 _DEFORM_TOL = 1e-8
@@ -116,6 +117,13 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    """Deform the matrix file; ``--weights`` adds the tilted weight table.
+
+    The weights tilted are the closed-form ones of the exactly
+    persymmetric matrix with the computed spectrum;
+    ``deform_closed_form`` has just checked that the input is
+    persymmetric (within ``_DEFORM_TOL``).
+    """
     jac = _load_matrix(args.matrix)
     tilted = deform_closed_form(jac, args.theta, tol=_DEFORM_TOL)
     doc = {"n": tilted.n, "b": _floats(tilted.b), "a": _floats(tilted.a),
@@ -123,9 +131,7 @@ def _cmd_deform(args) -> int:
     if args.weights:
         if jac.n % 2 == 0:
             raise ValueError("closed-form deformed weights exist only for odd N")
-        monic = jac.to_monic()
-        spec = eigenvalues(monic)
-        table = weights_general(monic, spec)
+        table, _ = weights_persymmetric(eigenvalues(jac.to_monic()))
         doc["weights"] = _floats(deformed_weights(table, args.theta).w)
     _emit_json(doc, args.out)
     return 0
@@ -192,16 +198,10 @@ def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
     if ref is None:
         add("midpoint-closure", math.inf)
     else:
-        x = spec.values
-        sigma0, sigma1 = float(np.sum(x[0::2])), float(np.sum(x[1::2]))
+        _, _, sigma0, sigma1 = _sublattices(spec.values)
+        mid = ref.u[n // 2] if n % 2 else ref.b[n // 2]
         scale = max(1.0, float(spec.radius) ** 2)
-        if n % 2:
-            half = (n - 1) // 2
-            closing = 0.25 * (sigma1 - sigma0) ** 2
-            add("midpoint-closure", abs(closing - ref.u[half]) / scale)
-        else:
-            closing = sigma0 - sigma1
-            add("midpoint-closure", abs(closing - ref.b[n // 2]) / scale)
+        add("midpoint-closure", abs(_closing(sigma0, sigma1, n) - mid) / scale)
 
     done = [rec for rec in results.values() if rec is not None]
     if len(results) != len(done):

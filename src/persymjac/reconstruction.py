@@ -42,7 +42,8 @@ import numpy as np
 from .errors import NumericalError
 from .jacobi import MonicJacobi, Spectrum, WeightTable, weights_persymmetric
 # ``lagrange_interpolate`` is not called here; it stays bound so that
-# perfbench/spans.py finds the polynomial layer through this module.
+# perfbench/spans.py finds the polynomial layer through this module
+# (tests/test_tracing.py checks every binding the tracer wraps).
 from .polynomials import (TRIM_REL, Polynomial, _interp_coeffs, _roots_coeffs,
                           lagrange_interpolate, poly_from_roots)
 
@@ -126,14 +127,9 @@ def midpoint_data(spectrum) -> MidpointData:
     spec = Spectrum.coerce(spectrum)
     if spec.n < 1:
         raise ValueError("midpoint data requires at least two spectral points")
-    ev = spec.values[0::2]
-    od = spec.values[1::2]
-    return MidpointData(
-        omega0=poly_from_roots(ev),
-        omega1=poly_from_roots(od),
-        sigma0=float(np.sum(ev)),
-        sigma1=float(np.sum(od)),
-    )
+    ev, od, sigma0, sigma1 = _sublattices(spec.values)
+    return MidpointData(omega0=poly_from_roots(ev), omega1=poly_from_roots(od),
+                        sigma0=sigma0, sigma1=sigma1)
 
 
 def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, float]:
@@ -143,17 +139,17 @@ def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, fl
 
         P_{L+1} = (omega0 + omega1) / 2
         P_L     = (omega0 - omega1) / (sigma1 - sigma0)
-        coeff   = u_{L+1} = (sigma1 - sigma0)**2 / 4
 
     For even ``n = 2L``::
 
         P_{L+1} = (omega0 + (x + sigma1 - sigma0) * omega1) / 2
         P_L     = omega1
-        coeff   = b_L = sigma0 - sigma1
 
-    The even-``n`` sign is the one that keeps ``P_{L+1}`` monic of full
-    degree; flipping it cancels the two leading terms and drops the
-    degree to ``L-1`` or lower.
+    The closing coefficient -- ``u_{L+1}`` for odd ``n``, ``b_L`` for
+    even ``n`` -- is :func:`_closing` of the root sums.  The even-``n``
+    sign is the one that keeps ``P_{L+1}`` monic of full degree;
+    flipping it cancels the two leading terms and drops the degree to
+    ``L-1`` or lower.
     """
     if n < 1:
         raise ValueError("midpoint polynomials require n >= 1")
@@ -165,22 +161,49 @@ def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, fl
         raise ValueError("odd-n midpoint requires sigma1 > sigma0; input is corrupted")
     faults: list[str] = []
     with np.errstate(all="ignore"):
-        hi, lo, coeff = _midpoint_arrays(md.omega0.coeffs, md.omega1.coeffs,
-                                         md.sigma0, md.sigma1, n, faults)
+        hi, lo = _midpoint_arrays(md.omega0.coeffs, md.omega1.coeffs,
+                                  md.sigma0, md.sigma1, n, faults)
     if faults:
         raise NumericalError(faults[0])
-    return Polynomial(hi), Polynomial(lo), float(coeff)
+    return Polynomial(hi), Polynomial(lo), float(_closing(md.sigma0, md.sigma1, n))
+
+
+# ----------------------------------------------------------------------
+# the mirror construction: sublattice split, closing coefficient, mirror
+# ----------------------------------------------------------------------
+
+
+def _sublattices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The even-/odd-indexed points of a sorted spectrum and their root
+    sums ``sigma0``/``sigma1``."""
+    ev, od = x[0::2], x[1::2]
+    return ev, od, float(np.sum(ev)), float(np.sum(od))
+
+
+def _closing(sigma0: float, sigma1: float, n: int) -> float:
+    """The middle coefficient pinned by the sublattice root sums alone:
+    ``u_{L+1}`` for odd ``n = 2L+1``, ``b_L`` for even ``n = 2L``."""
+    if n % 2:
+        return 0.25 * (sigma1 - sigma0) ** 2
+    return sigma0 - sigma1
+
+
+def _mirror(b_low: np.ndarray, u_low: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The palindromic ``b_0..b_n``, ``u_1..u_n`` from their first
+    ``ceil((n+1)/2)`` and ``ceil(n/2)`` entries."""
+    def fold(low: np.ndarray, size: int) -> np.ndarray:
+        return np.concatenate((low, low[:size - low.size][::-1]))
+
+    return fold(b_low, n + 1), fold(u_low, n)
 
 
 def _midpoint_arrays(w0: np.ndarray, w1: np.ndarray, sigma0: float, sigma1: float,
-                     n: int, faults: list[str]) -> tuple[np.ndarray, np.ndarray, float]:
-    """The formulas of :func:`midpoint_polys` on exactly monic raw arrays.
+                     n: int, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomials of :func:`midpoint_polys` on exactly monic raw arrays.
 
     ``w0``/``w1`` have ``n//2 + 2`` and ``(n+1)//2 + 1`` entries.
-    Returns the exactly monic ``P_{L+1}``, ``P_L`` and the closing
-    coefficient.
+    Returns the exactly monic ``P_{L+1}`` and ``P_L``.
     """
-    delta = sigma1 - sigma0
     if n % 2:
         hi = 0.5 * (w0 + w1)
         diff = (w0 - w1)[:-1]  # the leading 1.0s cancel exactly
@@ -188,14 +211,12 @@ def _midpoint_arrays(w0: np.ndarray, w1: np.ndarray, sigma0: float, sigma1: floa
             faults.append("midpoint difference polynomial lost its leading term")
         lo = diff / diff[-1]
         lo[-1] = 1.0
-        coeff = 0.25 * delta * delta
     else:
-        hi = 0.5 * (w0 + np.convolve([delta, 1.0], w1))
+        hi = 0.5 * (w0 + np.convolve([sigma1 - sigma0, 1.0], w1))
         lo = w1
-        coeff = sigma0 - sigma1
     if not _lead_survives(hi):
         faults.append("midpoint polynomials lost a degree; spectrum too degenerate")
-    return hi, lo, coeff
+    return hi, lo
 
 
 # ----------------------------------------------------------------------
@@ -335,63 +356,46 @@ def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
 
 def _mf_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = xh.size - 1
-    ev, od = xh[0::2], xh[1::2]
+    ev, od, sigma0, sigma1 = _sublattices(xh)
     omega0, omega1 = _roots_coeffs(ev), _roots_coeffs(od)
     if not (_lead_survives(omega0) and _lead_survives(omega1)):
         faults.append("sublattice polynomial lost its degree; "
                       "coefficient range exceeds working precision")
-    hi, lo, coeff = _midpoint_arrays(omega0, omega1, float(np.sum(ev)),
-                                     float(np.sum(od)), n, faults)
-    b_half, u_half = _chain_arrays(hi, lo, faults)
+    hi, lo = _midpoint_arrays(omega0, omega1, sigma0, sigma1, n, faults)
+    b_low, u_low = _chain_arrays(hi, lo, faults)
+    coeff = _closing(sigma0, sigma1, n)
     if n % 2:
         if coeff <= 0:
             faults.append("midpoint closing weight is nonpositive")
-        b = np.concatenate((b_half, b_half[::-1]))
-        u = np.concatenate((u_half, [coeff], u_half[::-1]))
+        u_low = np.append(u_low, coeff)
     else:
-        half_n = n // 2
-        b_half[half_n] = coeff
-        b = np.concatenate((b_half, b_half[:half_n][::-1]))
-        u = np.concatenate((u_half, u_half[::-1]))
-    return b, u
+        b_low[n // 2] = coeff
+    return _mirror(b_low, u_low, n)
 
 
 def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = xh.size - 1
-    ev, od = xh[0::2], xh[1::2]
-    sigma0, sigma1 = float(np.sum(ev)), float(np.sum(od))
+    ev, od, sigma0, sigma1 = _sublattices(xh)
+    coeff = _closing(sigma0, sigma1, n)
     even_table, odd_table = sublattice_weights(Spectrum(xh))
+    table = even_table if n % 2 else odd_table
+    b_low, u_low = _stieltjes(table.points.values, table.w, n // 2, (n - 1) // 2, faults)
     if n % 2:
-        half_n = (n - 1) // 2
-        if half_n:
-            b_half, u_half = _stieltjes(even_table.points.values, even_table.w,
-                                        half_n, half_n, faults)
-        else:
-            b_half, u_half = np.empty(0), np.empty(0)
-        b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_half))
-        u_mid = 0.25 * (sigma1 - sigma0) ** 2
+        b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_low))
+        u_mid = coeff
         if u_mid <= 0:
             faults.append("half-lattice closing weight is nonpositive")
-        b_low = np.concatenate((b_half, [b_mid]))
-        b = np.concatenate((b_low, b_low[::-1]))
-        u = np.concatenate((u_half, [u_mid], u_half[::-1]))
     else:
-        half_n = n // 2
-        b_half, u_half = _stieltjes(odd_table.points.values, odd_table.w,
-                                    half_n, half_n - 1, faults)
-        b_mid = sigma0 - sigma1
+        b_mid = coeff
         # u_L is pinned by the midpoint polynomial identity
         # (x - b_L) * omega1 - P_{L+1} = u_L * P_{L-1}: matching the
         # coefficient of x^(L-1) reduces it to sublattice power sums
         q0, q1 = float(np.sum(ev * ev)), float(np.sum(od * od))
-        u_mid = 0.25 * (q0 - q1 - (sigma1 - sigma0) ** 2)
+        u_mid = 0.25 * (q0 - q1 - b_mid ** 2)
         if u_mid <= 0:
             faults.append("half-lattice closing weight is nonpositive; "
                           "spectrum is not realizable at working precision")
-        b = np.concatenate((b_half, [b_mid], b_half[::-1]))
-        u_low = np.concatenate((u_half, [u_mid]))
-        u = np.concatenate((u_low, u_low[::-1]))
-    return b, u
+    return _mirror(np.append(b_low, b_mid), np.append(u_low, u_mid), n)
 
 
 def _reconstruct(core, spectrum) -> MonicJacobi:
@@ -473,34 +477,3 @@ ALGORITHMS = {
     "mf": reconstruct_mirror_fold,
     "hl": reconstruct_half_lattice,
 }
-
-
-# ----------------------------------------------------------------------
-# moment-determinant oracle
-# ----------------------------------------------------------------------
-
-
-def poly_from_moments_hankel(moms, n: int) -> Polynomial:
-    """Monic orthogonal ``P_n`` straight from the moment determinants.
-
-    Expands the bordered Hankel determinant along its last row
-    ``(1, x, ..., x^n)`` and divides by the leading Hankel minor.
-    Exponentially ill-conditioned in ``n``; intended as an independent
-    cross-check for small degrees (``n <= 6``), not for production use.
-    """
-    c = moms.c if isinstance(moms, MomentSequence) else np.asarray(moms, dtype=float)
-    if not 1 <= n <= 6:
-        raise ValueError("moment-determinant construction is supported for 1 <= n <= 6")
-    if c.size < 2 * n:
-        raise ValueError("need moments up to order 2n - 1")
-    hankel = np.array([[c[i + j] for j in range(n)] for i in range(n)])
-    delta = float(np.linalg.det(hankel))
-    if abs(delta) < 1e-10:
-        raise NumericalError("Hankel determinant is numerically singular")
-    bordered = np.array([[c[i + j] for j in range(n + 1)] for i in range(n)])
-    coeffs = np.empty(n + 1)
-    for k in range(n + 1):
-        minor = np.delete(bordered, k, axis=1)
-        coeffs[k] = (-1.0) ** (n + k) * float(np.linalg.det(minor)) / delta
-    coeffs[n] = 1.0
-    return Polynomial(coeffs)

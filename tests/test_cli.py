@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from persymjac.benchmark import CSV_HEADER
 from persymjac.cli import main
@@ -190,6 +193,32 @@ class TestExitCodes:
         mat = _write(tmp_path, "m.json", {"n": 1, "b": [0, 0], "a": [0]})
         assert main(["deform", mat, "--theta", "0.3", "--weights"]) == 3
 
+    def test_deform_weights_on_a_persymmetric_64_point_matrix(self, tmp_path):
+        # the forward-recurrence weights of this matrix are off by 1.8e-4
+        # and their sublattice masses differ by 1.5e-4, which made the
+        # tilted table fail its mass check: exit 2 on valid input
+        rng = np.random.default_rng(2)
+        b, a = rng.uniform(-1.0, 1.0, 64), rng.uniform(0.3, 1.0, 63)
+        b, a = 0.5 * (b + b[::-1]), 0.5 * (a + a[::-1])
+        mat = _write(tmp_path, "m.json", {"n": 63, "b": list(b), "a": list(a)})
+        out = tmp_path / "got.json"
+        assert main(["deform", mat, "--theta", "0.3", "--weights", "--out", str(out)]) == 0
+        got = np.array(json.loads(out.read_text(encoding="utf-8"))["weights"])
+        lam, vec = eigh_tridiagonal(b, a)
+        want = vec[0] ** 2
+        want[0::2] *= 1.0 - np.sin(0.6)
+        want[1::2] *= 1.0 + np.sin(0.6)
+        # a closed-form weight moves by w_s * sum_t |dx_s - dx_t| / |x_s - x_t|
+        # when the spectrum moves by dx, plus the normalization's share of
+        # every other weight's move; this matrix has eigenvalue pairs
+        # 6.1e-14 and 2.3e-13 apart, whose weights are loose by ~1e-3
+        eta = 8.0 * np.finfo(float).eps * float(np.max(np.abs(lam)))
+        gaps = np.abs(lam[:, None] - lam[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        cond = 2.0 * eta * np.sum(1.0 / gaps, axis=1)
+        tol = want * (1e-10 + cond + np.sum(want * cond))
+        assert np.all(np.abs(got - want) <= tol)
+
     def test_verify_two_points_skips_sublattices(self, tmp_path, capsys):
         spec = _write(tmp_path, "s.json", [-1.0, 1.0])
         assert main(["verify", spec]) == 0
@@ -295,6 +324,34 @@ class TestRoundTripIdentity:
             assert doc["n"] == n
             assert np.max(np.abs(np.array(doc["b"]) - b)) <= 1e-8
             assert np.max(np.abs(np.array(doc["a"]) - a)) <= 1e-8
+
+
+# ----------------------------------------------------------------------
+# the verify exit-code contract (hypothesis)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _separated_spectra(draw, max_points: int = 40):
+    """Finite spectra of 1..max_points points at scales 1e-6..1e6, with
+    neighbour gaps of at least a twentieth of the scale."""
+    count = draw(st.integers(1, max_points))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=count - 1, max_size=count - 1))
+    gaps = scale * (0.05 + np.array(fracs, dtype=float))
+    start = scale * draw(st.floats(-20.0, 20.0))
+    return start + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+class TestVerifyExitContract:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spectrum=_separated_spectra())
+    def test_well_formed_spectra_never_exit_as_input_errors(self, tmp_path, spectrum):
+        # exit 2 is for malformed input only; a verification failure is 1
+        # and a numerical breakdown 3
+        spec = _write(tmp_path, "s.json", [float(x) for x in spectrum])
+        assert main(["verify", spec, "--out", str(tmp_path / "v.json")]) in (0, 1, 3)
 
 
 # ----------------------------------------------------------------------

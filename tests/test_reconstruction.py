@@ -19,7 +19,6 @@ from persymjac.polynomials import Polynomial, poly_from_roots
 from persymjac.benchmark import SpectrumFamily, generate_spectrum
 from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
                                       midpoint_data, midpoint_polys, moments,
-                                      poly_from_moments_hankel,
                                       reconstruct_gram_schmidt_full,
                                       reconstruct_half_lattice,
                                       reconstruct_lagrange_euclid,
@@ -323,6 +322,32 @@ class TestLargeSpectra:
 # ----------------------------------------------------------------------
 # moment-determinant oracle
 # ----------------------------------------------------------------------
+
+
+def poly_from_moments_hankel(moms, n: int) -> Polynomial:
+    """Monic orthogonal ``P_n`` straight from the moment determinants.
+
+    Expands the bordered Hankel determinant along its last row
+    ``(1, x, ..., x^n)`` and divides by the leading Hankel minor.
+    Exponentially ill-conditioned in ``n``; an independent cross-check
+    for small degrees (``n <= 6``) of the recurrence construction.
+    """
+    c = moms.c if isinstance(moms, MomentSequence) else np.asarray(moms, dtype=float)
+    if not 1 <= n <= 6:
+        raise ValueError("moment-determinant construction is supported for 1 <= n <= 6")
+    if c.size < 2 * n:
+        raise ValueError("need moments up to order 2n - 1")
+    hankel = np.array([[c[i + j] for j in range(n)] for i in range(n)])
+    delta = float(np.linalg.det(hankel))
+    if abs(delta) < 1e-10:
+        raise NumericalError("Hankel determinant is numerically singular")
+    bordered = np.array([[c[i + j] for j in range(n + 1)] for i in range(n)])
+    coeffs = np.empty(n + 1)
+    for k in range(n + 1):
+        minor = np.delete(bordered, k, axis=1)
+        coeffs[k] = (-1.0) ** (n + k) * float(np.linalg.det(minor)) / delta
+    coeffs[n] = 1.0
+    return Polynomial(coeffs)
 
 
 class TestHankelOracle:
