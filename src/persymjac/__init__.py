@@ -15,8 +15,7 @@ from .errors import NumericalError
 from .jacobi import (MonicJacobi, OrthoPolySystem, Spectrum, SymmetricJacobi,
                      WeightTable, eigenvalues, is_persymmetric, mirror_residual,
                      recurrence_polynomials, weights_general, weights_persymmetric)
-from .polynomials import (Polynomial, lagrange_interpolate, poly_derivative,
-                          poly_divrem, poly_from_roots)
+from .polynomials import Polynomial, lagrange_interpolate, poly_from_roots
 from .reconstruction import (ALGORITHMS, MidpointData, MomentSequence, midpoint_data,
                              midpoint_polys, moments, reconstruct_gram_schmidt_full,
                              reconstruct_half_lattice, reconstruct_lagrange_euclid,
@@ -54,8 +53,6 @@ __all__ = [
     "midpoint_polys",
     "mirror_residual",
     "moments",
-    "poly_derivative",
-    "poly_divrem",
     "poly_from_roots",
     "records_to_csv",
     "records_to_json",

@@ -129,8 +129,6 @@ def _cmd_deform(args) -> int:
     doc = {"n": tilted.n, "b": _floats(tilted.b), "a": _floats(tilted.a),
            "theta": args.theta}
     if args.weights:
-        if jac.n % 2 == 0:
-            raise ValueError("closed-form deformed weights exist only for odd N")
         table, _ = weights_persymmetric(eigenvalues(jac.to_monic()))
         doc["weights"] = _floats(deformed_weights(table, args.theta).w)
     _emit_json(doc, args.out)
@@ -270,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dfm.add_argument("--theta", type=float, default=0.0,
                      help="deformation angle in radians (default: 0)")
     dfm.add_argument("--weights", action="store_true",
-                     help="also emit the deformed weights (odd N only)")
+                     help="also emit the deformed weights")
     dfm.add_argument("--out", default=None)
     dfm.set_defaults(func=_cmd_deform)
 

@@ -13,11 +13,13 @@ Two constructions of the deformed matrix are provided and must agree:
   involution built from ``theta``;
 * :func:`deform_closed_form` edits the central entries directly.
 
-For an even number of points the deformed measure and orthonormal
-polynomial family also have closed forms (:func:`deformed_weights`,
-:func:`deformed_polynomials`).  The polynomial family degenerates on
-the singular set ``cos(2 theta) = 0``, where the top polynomial loses
-its degree; we refuse angles within ``SINGULAR_TOL`` of it.
+For every ``N`` the deformed measure and orthonormal polynomial family
+have closed forms in the undeformed ones (:func:`deformed_weights`,
+:func:`deformed_polynomials`), from the mirror sign ``(-1)^{N+s}`` of
+a persymmetric eigenvector's last component against its first; at
+``N = 0`` nothing deforms.  The polynomial family degenerates on the
+singular set ``cos(2 theta) = 0``, where the deformed measure loses one
+mirror class; we refuse angles within ``SINGULAR_TOL`` of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .jacobi import OrthoPolySystem, SymmetricJacobi, WeightTable, is_persymmetric
+from .jacobi import (OrthoPolySystem, SymmetricJacobi, WeightTable, _mirror_signs,
+                     is_persymmetric)
 from .polynomials import Polynomial
 
 #: Angles with |cos 2*theta| below this are treated as singular for the
@@ -126,40 +129,41 @@ def deform_closed_form(jac: SymmetricJacobi, theta: float,
 
 
 def deformed_weights(table: WeightTable, theta: float) -> WeightTable:
-    """Weight table of the deformed matrix (odd ``N`` only).
+    """Weight table of the deformed matrix.
 
-    The deformed weights tilt the even and odd sublattices against each
-    other: ``w_even * (1 - sin 2*theta)`` and ``w_odd * (1 + sin 2*theta)``.
-    Total mass is conserved because the two sublattices carry equal
-    mass.  For an even ``N`` the deformed weights have no closed form of
-    this kind, so we refuse.
+    The involution's first row is ``sin(theta) e_0 + cos(theta) e_N`` and
+    a persymmetric eigenvector obeys ``phi_s(N) = (-1)^{N+s} phi_s(0)``,
+    so each weight is tilted by its mirror sign:
+
+        w'_s = w_s * (1 + (-1)^{N+s} sin(2 theta)).
+
+    Total mass is conserved for every ``N >= 1`` because
+    ``sum_s (-1)^{N+s} w_s = sum_s phi_s(0) phi_s(N) = 0``.  At ``N = 0``
+    the involution is ``[1]`` and the table is returned unchanged.
     """
-    n_points = len(table.w)
-    if n_points % 2:
-        raise ValueError("closed-form deformed weights exist only for odd N "
-                         "(an even number of spectral points)")
+    n = len(table.w) - 1
+    if n == 0:
+        return table
     tilt = np.sin(2.0 * theta)
-    w = table.w.copy()
-    w[0::2] *= 1.0 - tilt
-    w[1::2] *= 1.0 + tilt
-    return WeightTable(table.points, w)
+    return WeightTable(table.points, table.w * (1.0 + _mirror_signs(n) * tilt))
 
 
 def deformed_polynomials(system: OrthoPolySystem, theta: float) -> tuple[Polynomial, ...]:
-    """Orthonormal family of the deformed measure (odd ``N`` only).
+    """Orthonormal family of the deformed measure.
 
     The lower half of the family is untouched; each upper-half member
-    mixes with its mirror partner:
+    mixes with its mirror partner,
 
-        q_n = (chi_n - sin(2 theta) * chi_{N-n}) / cos(2 theta),   n > (N-1)/2.
+        q_n = (chi_n - sin(2 theta) * chi_{N-n}) / cos(2 theta),   n > N/2,
 
-    On the singular set ``cos(2 theta) = 0`` the construction breaks
-    down (the deformed measure loses support on one sublattice and the
-    family truncates), which raises ``NumericalError``.
+    and for even ``N`` the centre is ``chi_{N/2} / (cos theta + sin theta)``.
+    At ``N = 0`` the family is ``(chi_0,)``.  On the singular set
+    ``cos(2 theta) = 0``, which holds every zero of ``cos theta + sin theta``,
+    the family truncates and ``NumericalError`` is raised.
     """
     n = system.n
-    if n < 1 or n % 2 == 0:
-        raise ValueError("closed-form deformed polynomials exist only for odd N")
+    if n == 0:
+        return (system.orthonormal(0),)
     c2 = float(np.cos(2.0 * theta))
     if abs(c2) < SINGULAR_TOL:
         raise NumericalError("deformation angle is singular: cos(2 theta) vanishes "
@@ -167,6 +171,8 @@ def deformed_polynomials(system: OrthoPolySystem, theta: float) -> tuple[Polynom
     s2 = float(np.sin(2.0 * theta))
     chi = [system.orthonormal(k) for k in range(n + 1)]
     out = list(chi)
-    for k in range((n - 1) // 2 + 1, n + 1):
+    if n % 2 == 0:
+        out[n // 2] = (1.0 / float(np.cos(theta) + np.sin(theta))) * chi[n // 2]
+    for k in range(n // 2 + 1, n + 1):
         out[k] = (1.0 / c2) * chi[k] - (s2 / c2) * chi[n - k]
     return tuple(out)

@@ -358,7 +358,10 @@ def eigenvalues(K: MonicJacobi) -> Spectrum:
     every bracket's bisection tree at once, as many as fit in
     ``_SWEEP_WIDTH`` points, and yields exactly the brackets that one
     midpoint per sweep would.  No dense matrix is formed.  Positive
-    ``u_n`` guarantee the eigenvalues are simple.
+    ``u_n`` guarantee the eigenvalues are simple, but two of them closer
+    than the bracket width can round to the same double (Wilkinson's
+    ``W_31^+`` is one such matrix); that raises ``NumericalError``
+    ("eigenvalues failed to separate").
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -456,6 +459,11 @@ def is_persymmetric(J: SymmetricJacobi, tol: float = 1e-10) -> bool:
     return True
 
 
+def _mirror_signs(n: int) -> np.ndarray:
+    """``(-1)^{N+s}`` for ``s = 0..N``: persymmetric ``phi_s(N) / phi_s(0)``."""
+    return np.where((n + np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
+
+
 def mirror_residual(K: MonicJacobi, spectrum) -> float:
     """Deviation from the mirror relation of the orthonormal polynomials.
 
@@ -478,5 +486,4 @@ def mirror_residual(K: MonicJacobi, spectrum) -> float:
         for n in range(1, n1 - 1):
             vals[n + 1] = (x - b[n]) * vals[n] - u[n - 1] * vals[n - 1]
     chi = vals / np.sqrt(K.norms())[:, None]
-    signs = np.where((n1 - 1 + np.arange(n1)) % 2 == 0, 1.0, -1.0)
-    return float(np.max(np.abs(chi[::-1, :] - signs[None, :] * chi)))
+    return float(np.max(np.abs(chi[::-1] - _mirror_signs(n1 - 1) * chi)))

@@ -4,8 +4,8 @@ Coefficients are stored low-to-high: ``coeffs[i]`` multiplies ``x**i``.
 The zero polynomial is the empty coefficient sequence and has degree
 ``-inf`` by convention.  Construction normalizes the representation by
 trimming trailing coefficients smaller than ``TRIM_REL * max(|coeff|)``,
-so that subtractions and long divisions cannot leave spurious near-zero
-leading terms behind.
+so that subtractions cannot leave spurious near-zero leading terms
+behind.
 """
 
 from __future__ import annotations
@@ -136,32 +136,6 @@ def _roots_coeffs(roots) -> np.ndarray:
 def poly_from_roots(roots: Sequence[float]) -> Polynomial:
     """Monic polynomial with the given roots (empty sequence gives 1)."""
     return Polynomial(_roots_coeffs(roots))
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    """First derivative."""
-    if p.coeffs.size <= 1:
-        return Polynomial()
-    return Polynomial(p.coeffs[1:] * np.arange(1, p.coeffs.size))
-
-
-def poly_divrem(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Long division: return ``(q, r)`` with ``num = q*den + r``, deg r < deg den."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = den.coeffs.size - 1
-    if num.coeffs.size - 1 < dd:
-        return Polynomial(), num
-    rem = num.coeffs.copy()
-    lead = den.coeffs[-1]
-    q = np.zeros(rem.size - dd)
-    for k in range(q.size - 1, -1, -1):
-        f = rem[k + dd] / lead
-        q[k] = f
-        if f != 0.0:
-            rem[k : k + dd] -= f * den.coeffs[:-1]
-        rem[k + dd] = 0.0
-    return Polynomial(q), Polynomial(rem[:dd])
 
 
 def lagrange_interpolate(points: Iterable[tuple[float, float]]) -> Polynomial:

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .jacobi import MonicJacobi, Spectrum, WeightTable, weights_persymmetric
+from .jacobi import (MonicJacobi, Spectrum, WeightTable, _mirror_signs,
+                     weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -344,8 +345,7 @@ def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     if not _lead_survives(p_char):
         faults.append("characteristic polynomial lost its degree; "
                       "coefficient range exceeds working precision")
-    signs = np.where((n + np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
-    chi_top = _interp_coeffs(xh, signs)
+    chi_top = _interp_coeffs(xh, _mirror_signs(n))
     if not _lead_survives(chi_top):
         faults.append("interpolated top polynomial is degenerate; "
                       "spectrum is not realizable at working precision")

@@ -189,7 +189,7 @@ def test_criterion_07_isospectral_deformations(capsys):
     thetas = grid[np.abs(np.cos(2.0 * grid)) >= 0.05][:16]
     rng = np.random.default_rng(20250816)
     worst = dict(agree=0.0, spectrum=0.0, weights=0.0, mass=0.0, polys=0.0)
-    for n in (1, 3, 5, 7, 9, 11):
+    for n in (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10):
         half_b = rng.uniform(-1.0, 1.0, (n + 2) // 2)
         half_a = rng.uniform(0.3, 1.2, (n + 1) // 2)
         j = SymmetricJacobi(np.concatenate((half_b, half_b[: (n + 1) // 2][::-1])),
@@ -301,6 +301,7 @@ def test_criterion_09_cli_golden_files_and_exit_codes(tmp_path, capsys):
     wide = write("wide.json", list(np.linspace(-1.0, 1.0, 65)))
     tight = write("tight.json", list(np.linspace(0.0, 0.20, 21)))
     even_mat = write("even.json", {"n": 2, "b": [0, 0, 0], "a": [0.5, 0.5]})
+    skew_mat = write("skew.json", {"n": 2, "b": [0, 0, 1], "a": [0.5, 0.5]})
     cut_mat = write("cut.json", {"n": 1, "b": [0, 0], "a": [0]})
     single = write("single.json", {"n": 0, "b": [5], "a": []})
     for label, argv, want in [
@@ -308,7 +309,8 @@ def test_criterion_09_cli_golden_files_and_exit_codes(tmp_path, capsys):
         ("verify failure", ["verify", tight], 1),
         ("parse error", ["forward", str(bad)], 2),
         ("duplicate points", ["reconstruct", write("dup.json", [0.0, 0.0, 1.0])], 2),
-        ("even-size weights request", ["deform", even_mat, "--weights"], 2),
+        ("even-N weights request", ["deform", even_mat, "--weights"], 0),
+        ("non-persymmetric weights request", ["deform", skew_mat, "--weights"], 2),
         ("descent breakdown", ["reconstruct", wide, "--algorithm", "le"], 3),
         ("zero coupling", ["deform", cut_mat, "--weights"], 3),
     ]:

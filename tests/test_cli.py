@@ -185,9 +185,17 @@ class TestExitCodes:
         mat = _write(tmp_path, "m.json", {"n": 2, "b": [1, 2, 3], "a": [0.5, 0.5]})
         assert main(["deform", mat, "--theta", "0.3"]) == 2
 
-    def test_deform_weights_need_odd_n(self, tmp_path):
+    def test_deform_weights_on_a_three_point_matrix(self, tmp_path, capsys):
         mat = _write(tmp_path, "m.json", {"n": 2, "b": [0, 0, 0], "a": [0.5, 0.5]})
-        assert main(["deform", mat, "--theta", "0.3", "--weights"]) == 2
+        assert main(["deform", mat, "--theta", "0.3", "--weights"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        _, vec = eigh_tridiagonal(np.array(doc["b"]), np.array(doc["a"]))
+        assert np.max(np.abs(np.array(doc["weights"]) - vec[0] ** 2)) <= 1e-12
+
+    def test_deform_weights_on_a_single_point(self, tmp_path, capsys):
+        mat = _write(tmp_path, "m.json", {"n": 0, "b": [2.5], "a": []})
+        assert main(["deform", mat, "--theta", "0.3", "--weights"]) == 0
+        assert json.loads(capsys.readouterr().out)["weights"] == [1.0]
 
     def test_deform_weights_with_zero_coupling_is_numerical(self, tmp_path):
         mat = _write(tmp_path, "m.json", {"n": 1, "b": [0, 0], "a": [0]})

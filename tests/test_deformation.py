@@ -3,12 +3,15 @@
 The two constructions (explicit conjugation by the mixing involution,
 and the closed-form edit of the central entries) are checked against
 each other on seeded persymmetric matrices of both parities, and the
-deformed weight/polynomial formulas are checked against a full
-re-solution of the forward problem for the deformed matrix.
+deformed weight/polynomial formulas are checked, for both parities,
+against a full re-solution of the forward problem for the deformed
+matrix and against SciPy's eigenvectors of it (SciPy is a test-only
+oracle).
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from persymjac.deformation import (build_involution, deform_closed_form,
                                    deform_conjugate, deformed_polynomials,
@@ -179,14 +182,27 @@ class TestDeformedWeights:
         got = deformed_weights(table, np.pi / 4.0)
         assert np.max(np.abs(got.w - np.array([0.0, 0.75, 0.0, 0.25]))) <= 1e-15
 
-    def test_even_n_is_refused(self):
-        table, _ = weights_persymmetric([-1.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            deformed_weights(table, 0.2)
+    def test_single_point_is_unchanged(self):
+        table, _ = weights_persymmetric([0.3])
+        assert deformed_weights(table, 0.7) is table
+
+    def test_even_n_matches_scipy_on_the_deformed_matrix(self):
+        # the closed-form table of the computed spectrum, as `deform
+        # --weights` tilts it; the smallest relative gap here is 8.7e-4
+        rng = np.random.default_rng(5008)
+        for n_points in (3, 5, 9, 17):
+            j = _random_persymmetric(rng, n_points - 1)
+            table, _ = weights_persymmetric(eigenvalues(j.to_monic()))
+            for theta in _safe_angles(8):
+                got = deformed_weights(table, theta)
+                deformed = deform_closed_form(j, theta)
+                _, vec = eigh_tridiagonal(deformed.b, deformed.a)
+                assert np.max(np.abs(got.w - vec[0] ** 2)) <= 1e-12
+                assert abs(np.sum(got.w) - 1.0) <= 1e-12
 
     def test_matches_forward_solution_of_deformed_matrix(self):
         rng = np.random.default_rng(5005)
-        for n in (1, 3, 5, 7, 9, 11):
+        for n in (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10, 12):
             j = _random_persymmetric(rng, n)
             k = j.to_monic()
             spec = eigenvalues(k)
@@ -232,14 +248,24 @@ class TestDeformedPolynomials:
         with pytest.raises(NumericalError):
             deformed_polynomials(sys, np.pi / 4.0)
 
-    def test_even_n_is_refused(self):
+    def test_single_point_family(self):
+        sys = recurrence_polynomials(MonicJacobi([0.4], []))
+        got = deformed_polynomials(sys, np.pi / 4.0)
+        assert len(got) == 1
+        assert np.array_equal(got[0].coeffs, [1.0])
+
+    def test_even_n_rescales_the_centre(self):
+        # three points: chi_1 = x / sqrt(0.5) and q_1 = chi_1 / (cos t + sin t)
         sys = recurrence_polynomials(MonicJacobi([0.0, 0.0, 0.0], [0.5, 0.5]))
-        with pytest.raises(ValueError):
-            deformed_polynomials(sys, 0.3)
+        theta = 0.3
+        got = deformed_polynomials(sys, theta)
+        want = np.sqrt(2.0) / (np.cos(theta) + np.sin(theta))
+        assert np.array_equal(got[0].coeffs, [1.0])
+        assert np.max(np.abs(got[1].coeffs - np.array([0.0, want]))) <= 1e-15
 
     def test_matches_recurrence_of_deformed_matrix(self):
         rng = np.random.default_rng(5007)
-        for n in (1, 3, 5, 7, 9, 11):
+        for n in (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10, 12):
             j = _random_persymmetric(rng, n)
             k = j.to_monic()
             spec = eigenvalues(k)

@@ -2,7 +2,7 @@
 
 Pinned small cases are checked exactly (their arithmetic is dyadic),
 distribution-level properties run over seeded random draws, and the
-structural algebra (degrees, monicity, division contracts) is fuzzed
+structural algebra (degrees, monicity, ring operations) is fuzzed
 with hypothesis on parameter ranges where double precision provably
 holds the asserted tolerances.
 """
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persymjac.polynomials import (Polynomial, lagrange_interpolate, poly_derivative,
-                                   poly_divrem, poly_from_roots)
+from persymjac.polynomials import Polynomial, lagrange_interpolate, poly_from_roots
 
 
 def _coeffs(p: Polynomial, size: int) -> np.ndarray:
@@ -126,47 +125,6 @@ class TestEval:
         assert Polynomial([0.0, 2.0, -3.0, 1.0])(3.0) == 6.0
 
 
-class TestDivRem:
-    def test_exact_factor(self):
-        q, r = poly_divrem(Polynomial([-1.0, 0.0, 1.0]), Polynomial([-1.0, 1.0]))
-        assert np.array_equal(q.coeffs, [1.0, 1.0])
-        assert r.is_zero
-
-    def test_monomial_division(self):
-        q, r = poly_divrem(Polynomial([1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
-        assert np.array_equal(q.coeffs, [0.0, 1.0])
-        assert np.array_equal(r.coeffs, [1.0])
-
-    def test_long_division(self):
-        # (x^3 - x) / (x^2 - 3/4) = x with remainder -x/4
-        q, r = poly_divrem(Polynomial([0.0, -1.0, 0.0, 1.0]), Polynomial([-0.75, 0.0, 1.0]))
-        assert np.array_equal(q.coeffs, [0.0, 1.0])
-        assert np.array_equal(r.coeffs, [0.0, -0.25])
-
-    def test_smaller_numerator_passes_through(self):
-        num = Polynomial([3.0, 1.0])
-        q, r = poly_divrem(num, Polynomial([0.0, 0.0, 1.0]))
-        assert q.is_zero
-        assert r == num
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divrem(Polynomial([1.0]), Polynomial())
-
-
-class TestDerivative:
-    def test_quadratic(self):
-        assert np.array_equal(poly_derivative(Polynomial([-1.0, 0.0, 1.0])).coeffs, [0.0, 2.0])
-
-    def test_constant_derives_to_zero(self):
-        assert poly_derivative(Polynomial([1.0])).is_zero
-        assert poly_derivative(Polynomial()).is_zero
-
-    def test_cubic(self):
-        got = poly_derivative(Polynomial([0.0, -1.0, 0.0, 1.0]))
-        assert np.array_equal(got.coeffs, [-1.0, 0.0, 3.0])
-
-
 class TestInterpolate:
     def test_constant_data(self):
         p = lagrange_interpolate([(0.0, 1.0), (1.0, 1.0)])
@@ -207,22 +165,6 @@ def test_random_root_sets_evaluate_to_zero():
         assert p.degree == n
         assert p.lead == 1.0
         worst = max(worst, float(np.max(np.abs(p(roots)))))
-    assert worst <= 1e-10
-
-
-def test_division_round_trip_on_random_pairs():
-    rng = np.random.default_rng(20102)
-    worst = 0.0
-    for _ in range(400):
-        num = Polynomial(rng.uniform(-1.0, 1.0, int(rng.integers(1, 12))))
-        den_c = rng.uniform(-1.0, 1.0, int(rng.integers(1, 12)))
-        den_c[-1] = rng.uniform(0.1, 1.0)
-        den = Polynomial(den_c)
-        q, r = poly_divrem(num, den)
-        assert r.is_zero or r.degree < den.degree
-        back = q * den + r
-        size = max(back.coeffs.size, num.coeffs.size)
-        worst = max(worst, float(np.max(np.abs(_coeffs(back, size) - _coeffs(num, size)))))
     assert worst <= 1e-10
 
 
@@ -273,16 +215,6 @@ def _wide_gapped_nodes(draw, max_count: int = 9, min_gap: float = 0.25):
 
 
 @settings(deadline=None)
-@given(num=_unit_polys(max_deg=8), den=_unit_polys(max_deg=8, min_lead=0.5))
-def test_division_contract(num, den):
-    q, r = poly_divrem(num, den)
-    assert r.is_zero or r.degree < den.degree
-    back = q * den + r
-    size = max(back.coeffs.size, num.coeffs.size, 1)
-    assert np.max(np.abs(_coeffs(back, size) - _coeffs(num, size))) <= 1e-10
-
-
-@settings(deadline=None)
 @given(roots=_wide_gapped_nodes(max_count=6))
 def test_from_roots_is_monic_and_vanishes(roots):
     p = poly_from_roots(roots)
@@ -301,17 +233,6 @@ def test_interpolant_passes_through_nodes(nodes, data):
 
 
 @settings(deadline=None)
-@given(p=_unit_polys(max_deg=10))
-def test_derivative_matches_reference(p):
-    got = poly_derivative(p).coeffs
-    want = np.polynomial.polynomial.polyder(p.coeffs) if p.coeffs.size > 1 else np.array([])
-    size = max(got.size, want.size, 1)
-    g = np.zeros(size); g[: got.size] = got
-    w = np.zeros(size); w[: want.size] = want
-    assert np.array_equal(g, w)
-
-
-@settings(deadline=None)
 @given(p=_unit_polys(min_lead=0.5))
 def test_monic_lead_is_exactly_one(p):
     m = p.monic()
@@ -323,6 +244,9 @@ def test_monic_lead_is_exactly_one(p):
 @given(p=_unit_polys(), q=_unit_polys(), x=st.floats(-2.0, 2.0))
 def test_addition_commutes_with_evaluation(p, q, x):
     assert abs((p + q)(x) - (p(x) + q(x))) <= 1e-9
+    # products reach |x|^16, so the bound scales with the coefficient magnitudes
+    mag = Polynomial(np.abs(p.coeffs))(abs(x)) * Polynomial(np.abs(q.coeffs))(abs(x))
+    assert abs((p * q)(x) - p(x) * q(x)) <= 1e-9 * (1.0 + mag)
 
 
 @settings(deadline=None)
