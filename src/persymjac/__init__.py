@@ -17,7 +17,7 @@ from .jacobi import (MonicJacobi, OrthoPolySystem, Spectrum, SymmetricJacobi,
                      recurrence_polynomials, weights_general, weights_persymmetric)
 from .polynomials import Polynomial, lagrange_interpolate, poly_from_roots
 from .reconstruction import (ALGORITHMS, MidpointData, MomentSequence, midpoint_data,
-                             midpoint_polys, moments, reconstruct_gram_schmidt_full,
+                             moments, reconstruct_gram_schmidt_full,
                              reconstruct_half_lattice, reconstruct_lagrange_euclid,
                              reconstruct_mirror_fold, sublattice_weights)
 
@@ -50,7 +50,6 @@ __all__ = [
     "lagrange_interpolate",
     "linear_ground_truth",
     "midpoint_data",
-    "midpoint_polys",
     "mirror_residual",
     "moments",
     "poly_from_roots",

@@ -135,13 +135,15 @@ def _cmd_deform(args) -> int:
     return 0
 
 
+@np.errstate(all="ignore")
 def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
     """The named consistency checks behind ``verify``.
 
     Residuals are reported as measured; a check passes when its residual
     is at most ``tol``.  A residual that is not finite (overflow at large
-    N) is reported as ``inf`` and fails.  Checks that need structure the
-    input lacks (sublattices of a two-point spectrum) are marked skipped.
+    N) is reported as ``inf`` and fails, so floating-point warnings are
+    silenced here.  Checks that need structure the input lacks
+    (sublattices of a two-point spectrum) are marked skipped.
     """
     n = spec.n
     checks = []

@@ -428,21 +428,27 @@ def weights_persymmetric(spectrum) -> tuple[WeightTable, float]:
     the implied norm ``h_N = (sum r_s)**-2`` is returned with it.
     """
     spec = Spectrum.coerce(spectrum)
-    x = spec.values
-    n1 = x.size
-    if n1 == 1:
-        return WeightTable(spec, np.ones(1)), 1.0
-    diff = x[:, None] - x[None, :]
-    neg = np.sum(diff < 0, axis=1)
-    if np.any(neg != n1 - 1 - np.arange(n1)):
-        raise NumericalError("raw persymmetric weight has a nonpositive sign; "
-                             "spectrum points are not distinct and ordered")
-    np.fill_diagonal(diff, 1.0)
+    w, lse = _closed_form_weights(spec.values)
+    return WeightTable(spec, w), float(np.exp(-2.0 * lse))
+
+
+def _closed_form_weights(x: np.ndarray, first: int = 0, step: int = 1
+                         ) -> tuple[np.ndarray, float]:
+    """Unit-mass closed-form weights on the rows ``first::step`` of ``x``.
+
+    Row ``s`` has the raw weight ``|1 / P'_{N+1}(x_s)|``, that is
+    ``1 / prod_{t != s} |x_s - x_t|`` over all of ``x``, formed in logs.
+    Returns the raw weights divided by their sum over the chosen rows,
+    and the log of that sum.
+    """
+    rows = np.arange(first, x.size, step)
+    diff = x[rows, None] - x
+    diff[np.arange(rows.size), rows] = 1.0
     logr = -np.sum(np.log(np.abs(diff)), axis=1)
     lse = _logsumexp(logr)
     w = np.exp(logr - lse)
     w /= np.sum(w)
-    return WeightTable(spec, w), float(np.exp(-2.0 * lse))
+    return w, lse
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .jacobi import (MonicJacobi, Spectrum, WeightTable, _mirror_signs,
-                     weights_persymmetric)
+from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_weights,
+                     _mirror_signs, weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -133,42 +133,6 @@ def midpoint_data(spectrum) -> MidpointData:
                         sigma0=sigma0, sigma1=sigma1)
 
 
-def midpoint_polys(md: MidpointData, n: int) -> tuple[Polynomial, Polynomial, float]:
-    """The two middle orthogonal polynomials and the closing coefficient.
-
-    For odd ``n = 2L+1``::
-
-        P_{L+1} = (omega0 + omega1) / 2
-        P_L     = (omega0 - omega1) / (sigma1 - sigma0)
-
-    For even ``n = 2L``::
-
-        P_{L+1} = (omega0 + (x + sigma1 - sigma0) * omega1) / 2
-        P_L     = omega1
-
-    The closing coefficient -- ``u_{L+1}`` for odd ``n``, ``b_L`` for
-    even ``n`` -- is :func:`_closing` of the root sums.  The even-``n``
-    sign is the one that keeps ``P_{L+1}`` monic of full degree;
-    flipping it cancels the two leading terms and drops the degree to
-    ``L-1`` or lower.
-    """
-    if n < 1:
-        raise ValueError("midpoint polynomials require n >= 1")
-    # the even sublattice has n//2 + 1 points, the odd one (n+1)//2
-    if md.omega0.degree != n // 2 + 1 or md.omega1.degree != (n + 1) // 2:
-        parity = "odd" if n % 2 else "even"
-        raise ValueError(f"midpoint data does not match an {parity}-n spectrum of this size")
-    if n % 2 and md.sigma1 <= md.sigma0:
-        raise ValueError("odd-n midpoint requires sigma1 > sigma0; input is corrupted")
-    faults: list[str] = []
-    with np.errstate(all="ignore"):
-        hi, lo = _midpoint_arrays(md.omega0.coeffs, md.omega1.coeffs,
-                                  md.sigma0, md.sigma1, n, faults)
-    if faults:
-        raise NumericalError(faults[0])
-    return Polynomial(hi), Polynomial(lo), float(_closing(md.sigma0, md.sigma1, n))
-
-
 # ----------------------------------------------------------------------
 # the mirror construction: sublattice split, closing coefficient, mirror
 # ----------------------------------------------------------------------
@@ -200,10 +164,23 @@ def _mirror(b_low: np.ndarray, u_low: np.ndarray, n: int) -> tuple[np.ndarray, n
 
 def _midpoint_arrays(w0: np.ndarray, w1: np.ndarray, sigma0: float, sigma1: float,
                      n: int, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The polynomials of :func:`midpoint_polys` on exactly monic raw arrays.
+    """The two middle orthogonal polynomials from the sublattice data.
 
-    ``w0``/``w1`` have ``n//2 + 2`` and ``(n+1)//2 + 1`` entries.
-    Returns the exactly monic ``P_{L+1}`` and ``P_L``.
+    ``w0``/``w1`` are the exactly monic ascending coefficients of
+    ``omega0``/``omega1`` (``n//2 + 2`` and ``(n+1)//2 + 1`` entries).
+    For odd ``n = 2L+1``::
+
+        P_{L+1} = (omega0 + omega1) / 2
+        P_L     = (omega0 - omega1) / (sigma1 - sigma0)
+
+    For even ``n = 2L``::
+
+        P_{L+1} = (omega0 + (x + sigma1 - sigma0) * omega1) / 2
+        P_L     = omega1
+
+    The even-``n`` sign is the one that keeps ``P_{L+1}`` monic of full
+    degree; flipping it cancels the two leading terms.  ``P_L`` is
+    rescaled from its own leading entry, so both come back exactly monic.
     """
     if n % 2:
         hi = 0.5 * (w0 + w1)
@@ -334,9 +311,9 @@ def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> 
 
 
 def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    table, _ = weights_persymmetric(Spectrum(xh))
     n = xh.size - 1
-    return _stieltjes(xh, table.w, n + 1, n, faults)
+    w, _ = _closed_form_weights(xh)
+    return _stieltjes(xh, w, n + 1, n, faults)
 
 
 def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +354,10 @@ def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     n = xh.size - 1
     ev, od, sigma0, sigma1 = _sublattices(xh)
     coeff = _closing(sigma0, sigma1, n)
-    even_table, odd_table = sublattice_weights(Spectrum(xh))
-    table = even_table if n % 2 else odd_table
-    b_low, u_low = _stieltjes(table.points.values, table.w, n // 2, (n - 1) // 2, faults)
+    # the even sublattice for odd n, the odd one for even n
+    first = 1 - n % 2
+    w, _ = _closed_form_weights(xh, first, 2)
+    b_low, u_low = _stieltjes(xh[first::2], w, n // 2, (n - 1) // 2, faults)
     if n % 2:
         b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_low))
         u_mid = coeff

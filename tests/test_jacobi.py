@@ -391,6 +391,36 @@ class TestWeightsPersymmetric:
             h_true = float(np.prod(k.u))
             assert abs(h - h_true) <= 1e-10 * h_true
 
+    @staticmethod
+    def _full_matrix_weights(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Reference weights and ``h_N`` from the full (N+1)^2
+        log-difference matrix, clamped at zero as ``WeightTable`` does."""
+        if x.size == 1:
+            return np.ones(1), 1.0
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        logr = -np.sum(np.log(np.abs(diff)), axis=1)
+        m = float(np.max(logr))
+        lse = m + float(np.log(np.sum(np.exp(logr - m))))
+        w = np.exp(logr - lse)
+        w /= np.sum(w)
+        return np.maximum(w, 0.0), float(np.exp(-2.0 * lse))
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 12, 13, 512, 513))
+    def test_bit_identical_to_the_full_matrix_formula(self, size):
+        rng = np.random.default_rng(size)
+        shapes = [np.linspace(-1.0, 1.0, size),
+                  np.cumsum(rng.uniform(0.5, 1.5, size)) - 0.3 * size]
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for x in shapes:
+                spec = Spectrum(scale * x)
+                # h_N leaves double range at the largest sizes and scales
+                with np.errstate(over="ignore"):
+                    want_w, want_h = self._full_matrix_weights(spec.values)
+                    got, got_h = weights_persymmetric(spec)
+                assert got.w.tobytes() == want_w.tobytes()
+                assert np.float64(got_h).tobytes() == np.float64(want_h).tobytes()
+
 
 # ----------------------------------------------------------------------
 # mirror symmetry

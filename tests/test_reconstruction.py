@@ -7,8 +7,6 @@ the folded variants, and consistency of the moment/sublattice helpers
 that the half-lattice algorithm is built from.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,9 @@ from persymjac.errors import NumericalError
 from persymjac.jacobi import (MonicJacobi, Spectrum, eigenvalues,
                               recurrence_polynomials, weights_persymmetric)
 from persymjac.polynomials import Polynomial, poly_from_roots
-from persymjac.benchmark import SpectrumFamily, generate_spectrum
+from persymjac.benchmark import SpectrumFamily, generate_spectrum, linear_ground_truth
 from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
-                                      midpoint_data, midpoint_polys, moments,
+                                      midpoint_data, moments,
                                       reconstruct_gram_schmidt_full,
                                       reconstruct_half_lattice,
                                       reconstruct_lagrange_euclid,
@@ -146,37 +144,6 @@ class TestMidpointData:
 
 
 class TestMidpointPolys:
-    def test_odd_n_four_points(self):
-        p_hi, p_lo, u_mid = midpoint_polys(midpoint_data([-1.5, -0.5, 0.5, 1.5]), 3)
-        assert np.array_equal(p_hi.coeffs, [-0.75, 0.0, 1.0])
-        assert np.array_equal(p_lo.coeffs, [0.0, 1.0])
-        assert u_mid == 1.0
-
-    def test_even_n_symmetric(self):
-        p_hi, p_lo, b_mid = midpoint_polys(midpoint_data([-1.0, 0.0, 1.0]), 2)
-        assert np.array_equal(p_hi.coeffs, [-0.5, 0.0, 1.0])
-        assert np.array_equal(p_lo.coeffs, [0.0, 1.0])
-        assert b_mid == 0.0
-
-    def test_even_n_shifted(self):
-        p_hi, p_lo, b_mid = midpoint_polys(midpoint_data([0.0, 1.0, 2.0]), 2)
-        assert np.array_equal(p_hi.coeffs, [0.5, -2.0, 1.0])
-        assert np.array_equal(p_lo.coeffs, [-1.0, 1.0])
-        assert b_mid == 1.0
-
-    def test_equal_root_sums_are_rejected_for_odd_n(self):
-        md = midpoint_data([-1.5, -0.5, 0.5, 1.5])
-        bad = dataclasses.replace(md, sigma1=md.sigma0)
-        with pytest.raises(ValueError):
-            midpoint_polys(bad, 3)
-
-    def test_mismatched_data_is_rejected(self):
-        md = midpoint_data([-1.5, -0.5, 0.5, 1.5])
-        with pytest.raises(ValueError):
-            midpoint_polys(md, 2)
-        with pytest.raises(ValueError):
-            midpoint_polys(md, 0)
-
     def test_sign_flip_in_even_combination_loses_the_degree(self):
         # P_{L+1} must combine the sublattice polynomials with a plus
         # sign; the minus combination cancels the leading terms and
@@ -237,6 +204,14 @@ class TestReconstructorsPinned:
         for fn in ALGORITHMS.values():
             with pytest.raises(ValueError):
                 fn([0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_points_that_collide_on_the_mapped_interval_break_down(self, algorithm):
+        # distinct and increasing, so a well-formed spectrum; mapped onto
+        # [-1, 1] its first two points round to the same double
+        spec = Spectrum([1.0, 1.0 + 2.0**-52, 2048.0])
+        with pytest.raises(NumericalError):
+            ALGORITHMS[algorithm](spec)
 
 
 class TestReconstructorsSeeded:
@@ -317,6 +292,21 @@ class TestLargeSpectra:
         spec = generate_spectrum(SpectrumFamily("symmetric-linear", 359, {"step": 2 / 359}))
         with pytest.raises(NumericalError):
             reconstruct_mirror_fold(spec)
+
+    @pytest.mark.parametrize("n", (1023, 1024))
+    def test_half_lattice_is_exact_through_n_1024(self, n):
+        fam = SpectrumFamily("symmetric-linear", n, {"step": 2 / n})
+        rec = reconstruct_half_lattice(generate_spectrum(fam))
+        truth = linear_ground_truth(fam)
+        assert np.max(np.abs(rec.b - truth.b)) <= 1e-13
+        assert np.max(np.abs(rec.u - truth.u)) <= 1e-13
+
+    def test_half_lattice_at_n_2048_is_a_numerical_error(self):
+        # the sublattice weights underflow, and the Stieltjes sweep meets a
+        # vanishing norm instead of returning a wrong matrix
+        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2048, {"step": 2 / 2048}))
+        with pytest.raises(NumericalError):
+            reconstruct_half_lattice(spec)
 
 
 # ----------------------------------------------------------------------
