@@ -432,19 +432,26 @@ def weights_persymmetric(spectrum) -> tuple[WeightTable, float]:
     return WeightTable(spec, w), float(np.exp(-2.0 * lse))
 
 
-def _closed_form_weights(x: np.ndarray, first: int = 0, step: int = 1
-                         ) -> tuple[np.ndarray, float]:
-    """Unit-mass closed-form weights on the rows ``first::step`` of ``x``.
+def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarray:
+    """Log raw closed-form weights on the rows ``first::step`` of ``x``.
 
     Row ``s`` has the raw weight ``|1 / P'_{N+1}(x_s)|``, that is
-    ``1 / prod_{t != s} |x_s - x_t|`` over all of ``x``, formed in logs.
-    Returns the raw weights divided by their sum over the chosen rows,
-    and the log of that sum.
+    ``1 / prod_{t != s} |x_s - x_t|`` over all of ``x``; its log is
+    ``-sum_{t != s} log|x_s - x_t|``.
     """
     rows = np.arange(first, x.size, step)
     diff = x[rows, None] - x
     diff[np.arange(rows.size), rows] = 1.0
-    logr = -np.sum(np.log(np.abs(diff)), axis=1)
+    return -np.sum(np.log(np.abs(diff)), axis=1)
+
+
+def _closed_form_weights(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-mass closed-form weights on all of ``x``.
+
+    Returns the raw weights of ``_closed_form_logr`` divided by their
+    sum, and the log of that sum.
+    """
+    logr = _closed_form_logr(x)
     lse = _logsumexp(logr)
     w = np.exp(logr - lse)
     w /= np.sum(w)

@@ -12,9 +12,8 @@ implements four independent routes to it:
 ``mf``  mirror-fold: assemble the two midpoint polynomials from the
         even/odd spectral sublattices, descend the lower half, and
         mirror;
-``hl``  half-lattice: run the Stieltjes procedure on one sublattice
-        only, close the middle coefficients with the midpoint data, and
-        mirror.
+``hl``  half-lattice: run Lanczos on one sublattice only, close the
+        middle coefficients with the midpoint data, and mirror.
 
 All four accept the spectrum unsorted (it is sorted on entry, with an
 error on duplicates) and return the monic form with ``u_n > 0``.  The
@@ -29,8 +28,12 @@ orthogonalization norms that come out nonpositive raise
 operation sequence runs, and the first breakdown is raised after it.
 The coefficient-space routes (``le``, ``mf``)
 break down first as ``N`` grows -- representing high-degree polynomials
-by monomial coefficients is exponentially ill-conditioned -- while the
-inner-product routes survive to a few hundred points.
+by monomial coefficients is exponentially ill-conditioned.  ``gs``
+completes at every size, but its full-lattice Stieltjes sweep drifts
+from about a hundred points on.  ``hl`` stays exact for about two
+thousand points: its Lanczos vectors stay representable after the
+sublattice weights underflow, and it raises once its start vector
+leaves the normal range.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_weights,
-                     _mirror_signs, weights_persymmetric)
+from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_logr,
+                     _closed_form_weights, _mirror_signs, weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -103,24 +106,22 @@ def moments(spectrum, upto: int) -> MomentSequence:
     return MomentSequence(c)
 
 
-def sublattice_weights(spectrum) -> tuple[WeightTable | None, WeightTable]:
+def sublattice_weights(spectrum) -> tuple[WeightTable, WeightTable]:
     """Restrict the persymmetric weights to the even/odd sublattices.
 
-    Each restriction is rescaled by two, which gives it unit mass.  For
-    odd ``N`` both sublattices are returned (the low polynomials are
-    orthogonal on either); for even ``N`` only the odd sublattice
-    carries the orthogonality, so the even slot is ``None``.
+    Each restriction is rescaled by two, which gives it unit mass.  At
+    every ``N`` both restrictions reproduce the moments of orders
+    ``0..N-1``, since ``sum_s (-1)^{N+s} w_s x_s^k = (J^k)_{0N}``
+    vanishes below order ``N``; so the low polynomials are orthogonal on
+    either sublattice.
     """
     spec = Spectrum.coerce(spectrum)
     if spec.n == 0:
         raise ValueError("sublattices require at least two spectral points")
     full, _ = weights_persymmetric(spec)
     x, w = spec.values, full.w
-    odd = WeightTable(Spectrum(x[1::2]), 2.0 * w[1::2])
-    if spec.n % 2 == 1:
-        even = WeightTable(Spectrum(x[0::2]), 2.0 * w[0::2])
-        return even, odd
-    return None, odd
+    return (WeightTable(Spectrum(x[0::2]), 2.0 * w[0::2]),
+            WeightTable(Spectrum(x[1::2]), 2.0 * w[1::2]))
 
 
 def midpoint_data(spectrum) -> MidpointData:
@@ -206,6 +207,11 @@ def _midpoint_arrays(w0: np.ndarray, w1: np.ndarray, sigma0: float, sigma1: floa
 # full operation sequence, and the first fault is raised afterwards.
 
 
+# Log of the smallest positive normal double: a Lanczos start component
+# below it would be subnormal, with too few significant bits to carry.
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+
+
 def _lead_survives(c: np.ndarray) -> bool:
     """Whether the leading coefficient is positive and above the
     ``Polynomial`` trim threshold ``TRIM_REL * max|c|``."""
@@ -252,30 +258,31 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
 
 
 # ----------------------------------------------------------------------
-# the Stieltjes procedure
+# the Stieltjes procedure and its Lanczos form
 # ----------------------------------------------------------------------
 
 
-def _stieltjes(x: np.ndarray, w: np.ndarray, nb: int, nu: int, faults: list[str]
+def _stieltjes(x: np.ndarray, w: np.ndarray, faults: list[str]
                ) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of the discrete measure ``sum w_s delta(x_s)``.
 
-    Iterates the orthonormal three-term recurrence, reading off
-    ``b_n = <x chi_n, chi_n>`` and ``u_{n+1} = ||(x - b_n) chi_n - a_n chi_{n-1}||^2``
-    (the same inner-product ratios as the monic formulation, carried in
-    normalized form so the iterates stay representable).  Produces
-    ``b_0..b_{nb-1}`` and ``u_1..u_nu``; ``nu`` must be ``nb`` or ``nb - 1``.
+    Serves ``gs`` only; ``hl`` runs ``_lanczos``.  Iterates the
+    orthonormal three-term recurrence, reading off ``b_n = <x chi_n, chi_n>``
+    and ``u_{n+1} = ||(x - b_n) chi_n - a_n chi_{n-1}||^2`` (the same
+    inner-product ratios as the monic formulation, carried in normalized
+    form so the iterates stay representable).  Produces ``b_0..b_N`` and
+    ``u_1..u_N`` for the ``N+1`` points.
     """
-    b = np.empty(nb)
-    u = np.empty(nu)
+    n = x.size - 1
+    b = np.empty(n + 1)
+    u = np.empty(n)
     q_prev = np.zeros_like(x)
     q = np.ones_like(x)
     a_prev = 0.0
-    for k in range(max(nb, nu)):
+    for k in range(n + 1):
         bk = float(np.sum(w * x * q * q))
-        if k < nb:
-            b[k] = bk
-        if k < nu:
+        b[k] = bk
+        if k < n:
             r = (x - bk) * q - a_prev * q_prev
             uk = float(np.sum(w * r * r))
             if not np.isfinite(uk) or uk <= 0.0:
@@ -284,6 +291,53 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, nb: int, nu: int, faults: list[str]
             a = np.sqrt(uk)
             u[k] = uk
             q_prev, q, a_prev = q, r / a, a
+    return b, u
+
+
+def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients of the discrete measure with log weights ``logr``.
+
+    Runs Lanczos on ``diag(x)`` from the unit start vector proportional
+    to ``sqrt(w)``, the discrete-measure form of Gragg & Harrod (Numer.
+    Math. 44, 1984).  The Lanczos vectors are ``sqrt(w) chi_n(x)``: rows
+    of an orthogonal matrix, so they stay representable where ``w``
+    alone underflows.  The start vector is formed from the logs, and a
+    component below the normal range is a breakdown.  Each degree costs
+    one product with ``x``, two dot products and in-place updates of
+    three preallocated buffers.  Produces ``b_0..b_{nb-1}`` and
+    ``u_1..u_nu``; ``nu`` must be ``nb`` or ``nb - 1``.
+    """
+    half = 0.5 * (logr - np.max(logr))
+    lost = int(np.count_nonzero(half < _LOG_TINY))
+    if lost:
+        faults.append(f"Lanczos start vector underflows: {lost} of {x.size} "
+                      "components lie below the normal range")
+    v = np.exp(half)
+    v /= np.sqrt(v @ v)
+    v_prev = np.zeros_like(x)
+    r = np.empty_like(x)
+    b = np.empty(nb)
+    u = np.empty(nu)
+    a_prev = 0.0
+    for k in range(nb):
+        np.multiply(x, v, out=r)
+        v_prev *= a_prev
+        r -= v_prev
+        bk = float(r @ v)
+        b[k] = bk
+        if k == nu:
+            break
+        np.multiply(v, bk, out=v_prev)
+        r -= v_prev
+        uk = float(r @ r)
+        if not np.isfinite(uk) or uk <= 0.0:
+            faults.append("orthogonalization broke down: vanishing norm at "
+                          f"degree {k + 1}")
+        a_prev = np.sqrt(uk)
+        u[k] = uk
+        r /= a_prev
+        v_prev, v, r = v, r, v_prev
     return b, u
 
 
@@ -311,9 +365,8 @@ def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> 
 
 
 def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    n = xh.size - 1
     w, _ = _closed_form_weights(xh)
-    return _stieltjes(xh, w, n + 1, n, faults)
+    return _stieltjes(xh, w, faults)
 
 
 def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -356,8 +409,8 @@ def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     coeff = _closing(sigma0, sigma1, n)
     # the even sublattice for odd n, the odd one for even n
     first = 1 - n % 2
-    w, _ = _closed_form_weights(xh, first, 2)
-    b_low, u_low = _stieltjes(xh[first::2], w, n // 2, (n - 1) // 2, faults)
+    logr = _closed_form_logr(xh, first, 2)
+    b_low, u_low = _lanczos(xh[first::2], logr, n // 2, (n - 1) // 2, faults)
     if n % 2:
         b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_low))
         u_mid = coeff
@@ -437,9 +490,10 @@ def reconstruct_mirror_fold(spectrum) -> MonicJacobi:
 def reconstruct_half_lattice(spectrum) -> MonicJacobi:
     """Reconstruct from one spectral sublattice plus midpoint closure.
 
-    Runs the Stieltjes procedure on the even (odd ``N``) or odd (even
-    ``N``) sublattice weights up to degree ``L-1`` -- the range on which
-    sublattice and full-lattice moments provably agree -- then closes
+    Runs Lanczos on the even (odd ``N``) or odd (even ``N``) sublattice,
+    from the square roots of its closed-form weights formed in logs, up
+    to degree ``L-1`` -- the range on which sublattice and full-lattice
+    moments provably agree -- then closes
     the middle coefficients: for odd ``N``, ``u_{L+1}`` from the root
     sums and ``b_L`` from the trace; for even ``N``, ``b_L`` from the
     root sums and ``u_L`` by matching the midpoint polynomial

@@ -135,7 +135,7 @@ def test_criterion_05_sublattice_orthogonality_and_moments(capsys):
     count = 0
     for spec, recs in zip(_suite(), _suite_recs()):
         n = spec.n
-        if n % 2 == 0 or n > 11:
+        if n > 11:
             continue
         count += 1
         half = (n - 1) // 2
@@ -154,7 +154,7 @@ def test_criterion_05_sublattice_orthogonality_and_moments(capsys):
             worst_mom = max(worst_mom, float(np.max(np.abs(sub - full))))
     ok = worst_gram <= 1e-9 and worst_mom <= 1e-11 and count > 0
     _report(5, "low polynomials stay orthogonal on each sublattice", ok,
-            f"{count} odd-size spectra; worst Gram deviation {worst_gram:.2e} "
+            f"{count} spectra of N <= 11, both parities; worst Gram deviation {worst_gram:.2e} "
             f"(bound 1e-9), worst moment mismatch {worst_mom:.2e} (bound 1e-11)",
             capsys)
 

@@ -9,6 +9,7 @@ that the half-lattice algorithm is built from.
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from persymjac.errors import NumericalError
 from persymjac.jacobi import (MonicJacobi, Spectrum, eigenvalues,
@@ -94,9 +95,11 @@ class TestSublatticeWeights:
         assert np.array_equal(odd.points.values, [1.0])
         assert np.array_equal(odd.w, [1.0])
 
-    def test_even_n_has_no_even_table(self):
+    def test_three_point_tables(self):
+        # at even N the even sublattice carries the orthogonality too
         even, odd = sublattice_weights([-1.0, 0.0, 1.0])
-        assert even is None
+        assert np.array_equal(even.points.values, [-1.0, 1.0])
+        assert np.max(np.abs(even.w - np.array([0.5, 0.5]))) <= 1e-15
         assert np.array_equal(odd.points.values, [0.0])
         assert np.array_equal(odd.w, [1.0])
 
@@ -267,8 +270,6 @@ class TestReconstructorsSeeded:
             full = moments(spec, n - 1).c
             even, odd = sublattice_weights(spec)
             for table in (even, odd):
-                if table is None:
-                    continue
                 x, w = table.points.values, table.w
                 got = np.array([np.sum(w * x**k) for k in range(n)])
                 assert np.max(np.abs(got - full)) <= 1e-11
@@ -301,12 +302,30 @@ class TestLargeSpectra:
         assert np.max(np.abs(rec.b - truth.b)) <= 1e-13
         assert np.max(np.abs(rec.u - truth.u)) <= 1e-13
 
-    def test_half_lattice_at_n_2048_is_a_numerical_error(self):
-        # the sublattice weights underflow, and the Stieltjes sweep meets a
-        # vanishing norm instead of returning a wrong matrix
-        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2048, {"step": 2 / 2048}))
-        with pytest.raises(NumericalError):
+    @pytest.mark.parametrize("n", (2047, 2048))
+    def test_half_lattice_is_exact_through_n_2048(self, n):
+        # the sublattice weights underflow here, but the Lanczos vectors
+        # sqrt(w) chi_n(x) stay in range
+        fam = SpectrumFamily("symmetric-linear", n, {"step": 2 / n})
+        rec = reconstruct_half_lattice(generate_spectrum(fam))
+        truth = linear_ground_truth(fam)
+        assert np.max(np.abs(rec.b - truth.b)) <= 1e-13
+        assert np.max(np.abs(rec.u - truth.u)) <= 1e-13
+
+    def test_half_lattice_start_vector_below_the_normal_range_is_a_numerical_error(self):
+        # at 3000 points some sqrt(w / max w) are subnormal; without the
+        # guard the round trip comes back off by ~1e-1 and nothing is raised
+        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2999, {"step": 2 / 2999}))
+        with pytest.raises(NumericalError, match="start vector"):
             reconstruct_half_lattice(spec)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_half_lattice_round_trip_on_random_gap_n_1024(self, seed):
+        spec = generate_spectrum(SpectrumFamily("random-gap", 1024, {"seed": seed}))
+        rec = reconstruct_half_lattice(spec)
+        back = eigh_tridiagonal(rec.b, np.sqrt(rec.u), eigvals_only=True)
+        x = spec.values
+        assert np.max(np.abs(back - x)) <= 1e-13 * 0.5 * (x[-1] - x[0])
 
 
 # ----------------------------------------------------------------------
