@@ -89,6 +89,14 @@ class SplitMix64:
 _FAMILY_KINDS = ("uniform-linear", "symmetric-linear", "quadratic", "random-gap")
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``; a value that is not a number is a ``ValueError``."""
+    try:
+        return kind(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a number, not {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class SpectrumFamily:
     """A named recipe for a deterministic spectrum of size ``N + 1``.
@@ -113,7 +121,7 @@ class SpectrumFamily:
             raise ValueError("spectrum families require N >= 1")
 
     def param(self, name: str, default: float) -> float:
-        return float(self.params.get(name, default))
+        return _number(self.params.get(name, default), name)
 
 
 def generate_spectrum(fam: SpectrumFamily) -> Spectrum:
@@ -126,7 +134,7 @@ def generate_spectrum(fam: SpectrumFamily) -> Spectrum:
     elif fam.kind == "quadratic":
         x = fam.param("offset", 0.0) + fam.param("step", 1.0) * s * s
     else:
-        rng = SplitMix64(int(fam.params.get("seed", 0)))
+        rng = SplitMix64(_number(fam.params.get("seed", 0), "seed", int))
         min_gap = fam.param("min_gap", 0.05)
         if min_gap <= 0:
             raise ValueError("random-gap families require a positive min_gap")
@@ -213,7 +221,7 @@ class BenchConfig:
         if self.reps < 1:
             raise ValueError("repetitions must be >= 1")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+            if not isinstance(alg, str) or alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -230,15 +238,19 @@ def config_from_dict(doc: dict) -> BenchConfig:
     """Build a config from its JSON form (see ``docs/formats.md``)."""
     if not isinstance(doc, dict):
         raise ValueError("benchmark config must be a JSON object")
+    entries = doc.get("families", [])
+    algorithms = doc.get("algorithms", list(ALGORITHMS))
+    if not isinstance(entries, list) or not isinstance(algorithms, list):
+        raise ValueError("'families' and 'algorithms' must be arrays")
     fams = []
-    for entry in doc.get("families", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "kind" not in entry or "N" not in entry:
             raise ValueError("each family needs at least 'kind' and 'N'")
         params = {k: v for k, v in entry.items() if k not in ("kind", "N")}
-        fams.append(SpectrumFamily(str(entry["kind"]), int(entry["N"]), params))
-    algorithms = tuple(doc.get("algorithms", tuple(ALGORITHMS)))
-    reps = int(doc.get("reps", 20))
-    return BenchConfig(families=tuple(fams), algorithms=algorithms, reps=reps)
+        fams.append(SpectrumFamily(str(entry["kind"]), _number(entry["N"], "N", int),
+                                   params))
+    reps = _number(doc.get("reps", 20), "reps", int)
+    return BenchConfig(families=tuple(fams), algorithms=tuple(algorithms), reps=reps)
 
 
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:

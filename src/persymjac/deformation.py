@@ -35,9 +35,10 @@ from .polynomials import Polynomial
 #: deformed polynomial family.
 SINGULAR_TOL = 1e-10
 
-#: Default tolerance for the persymmetry precondition and for the
-#: tridiagonality of the conjugated matrix.
-DEFORM_TOL = 1e-10
+#: The persymmetry bound (absolute) that both constructions require of
+#: their input; :func:`deform_conjugate` also discards an off-band residue
+#: up to this bound times ``max(1, max|J|)``.
+DEFORM_TOL = 1e-8
 
 
 def build_involution(n_points: int, theta: float) -> np.ndarray:
@@ -63,16 +64,15 @@ def build_involution(n_points: int, theta: float) -> np.ndarray:
     return v
 
 
-def deform_conjugate(jac: SymmetricJacobi, theta: float,
-                     tol: float = DEFORM_TOL) -> SymmetricJacobi:
+def deform_conjugate(jac: SymmetricJacobi, theta: float) -> SymmetricJacobi:
     """Deform by explicit conjugation: ``V J V`` with the involution ``V``.
 
-    The input must be persymmetric (within ``tol``); the conjugated
-    matrix is then exactly tridiagonal in exact arithmetic, and we
-    verify that the off-tridiagonal residue is at rounding level before
-    discarding it.
+    The input must be persymmetric (within ``DEFORM_TOL``); the
+    conjugated matrix is then exactly tridiagonal in exact arithmetic,
+    and we verify that the off-tridiagonal residue is at most
+    ``DEFORM_TOL * max(1, max|J|)`` before discarding it.
     """
-    if not is_persymmetric(jac, tol=tol):
+    if not is_persymmetric(jac, tol=DEFORM_TOL):
         raise ValueError("deformation requires a persymmetric matrix")
     dense = jac.dense()
     v = build_involution(jac.n + 1, theta)
@@ -84,15 +84,14 @@ def deform_conjugate(jac: SymmetricJacobi, theta: float,
     stripped[idx, idx] = 0.0
     stripped[idx[:-1], idx[:-1] + 1] = 0.0
     stripped[idx[:-1] + 1, idx[:-1]] = 0.0
-    if float(np.max(np.abs(stripped), initial=0.0)) > 1e-10 * scale:
+    if float(np.max(np.abs(stripped), initial=0.0)) > DEFORM_TOL * scale:
         raise NumericalError("conjugated matrix is not tridiagonal; "
                              "input violates persymmetry beyond rounding")
     off = 0.5 * (rotated[idx[:-1], idx[:-1] + 1] + rotated[idx[:-1] + 1, idx[:-1]])
     return SymmetricJacobi(np.diag(rotated).copy(), off)
 
 
-def deform_closed_form(jac: SymmetricJacobi, theta: float,
-                       tol: float = DEFORM_TOL) -> SymmetricJacobi:
+def deform_closed_form(jac: SymmetricJacobi, theta: float) -> SymmetricJacobi:
     """Deform by editing the central entries in place.
 
     Only a bounded block around the center changes.  With ``N + 1``
@@ -104,8 +103,10 @@ def deform_closed_form(jac: SymmetricJacobi, theta: float,
     * even ``N``: the two off-diagonal entries flanking the center
       become ``a * (cos theta + sin theta)`` and
       ``a * (cos theta - sin theta)``; the diagonal is untouched.
+
+    The input must be persymmetric within ``DEFORM_TOL``.
     """
-    if not is_persymmetric(jac, tol=tol):
+    if not is_persymmetric(jac, tol=DEFORM_TOL):
         raise ValueError("deformation requires a persymmetric matrix")
     b = jac.b.copy()
     a = jac.a.copy()
@@ -122,7 +123,7 @@ def deform_closed_form(jac: SymmetricJacobi, theta: float,
     else:
         mid = n // 2
         a_c = a[mid - 1]
-        # persymmetry guarantees a[mid] == a[mid - 1] up to tol
+        # persymmetry guarantees a[mid] == a[mid - 1] up to DEFORM_TOL
         a[mid - 1] = a_c * (np.cos(theta) + np.sin(theta))
         a[mid] = a_c * (np.cos(theta) - np.sin(theta))
     return SymmetricJacobi(b, a)

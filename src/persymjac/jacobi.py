@@ -46,7 +46,10 @@ _DUP_REL = 1e-12
 
 
 def _asarray1d(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, ndmin=1)
+    try:
+        arr = np.array(values, dtype=float, ndmin=1)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must contain only numbers: {exc}") from exc
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -78,8 +81,6 @@ class Spectrum:
         carry a repeated eigenvalue.
         """
         arr = np.sort(_asarray1d(values, "spectrum"))
-        if arr.size == 0:
-            raise ValueError("a spectrum must contain at least one point")
         if arr.size > 1:
             tol = _DUP_REL * float(np.max(np.abs(arr)))
             if np.any(np.diff(arr) <= tol):
@@ -206,9 +207,6 @@ class WeightTable:
         ww.flags.writeable = False
         self.points = pts
         self.w = ww
-
-    def __len__(self) -> int:
-        return self.w.size
 
     def __repr__(self) -> str:
         return f"WeightTable(points={list(self.points.values)!r}, w={list(self.w)!r})"
@@ -411,10 +409,7 @@ def weights_general(K: MonicJacobi, spectrum) -> WeightTable:
         raise NumericalError("weight formula produced a nonpositive node value; "
                              "spectrum likely does not belong to this matrix")
     logh = float(np.sum(np.log(K.u))) if K.u.size else 0.0
-    logw = logh - (np.log(prod) + 2.0 * logscale)
-    logw -= _logsumexp(logw)
-    w = np.exp(logw)
-    w /= np.sum(w)
+    w, _ = _unit_mass(logh - (np.log(prod) + 2.0 * logscale))
     return WeightTable(spec, w)
 
 
@@ -428,7 +423,7 @@ def weights_persymmetric(spectrum) -> tuple[WeightTable, float]:
     the implied norm ``h_N = (sum r_s)**-2`` is returned with it.
     """
     spec = Spectrum.coerce(spectrum)
-    w, lse = _closed_form_weights(spec.values)
+    w, lse = _unit_mass(_closed_form_logr(spec.values))
     return WeightTable(spec, w), float(np.exp(-2.0 * lse))
 
 
@@ -445,22 +440,13 @@ def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarra
     return -np.sum(np.log(np.abs(diff)), axis=1)
 
 
-def _closed_form_weights(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-mass closed-form weights on all of ``x``.
-
-    Returns the raw weights of ``_closed_form_logr`` divided by their
-    sum, and the log of that sum.
-    """
-    logr = _closed_form_logr(x)
-    lse = _logsumexp(logr)
-    w = np.exp(logr - lse)
+def _unit_mass(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights ``exp(logw)`` scaled to unit sum, and the log of their sum."""
+    m = float(np.max(logw))
+    lse = m + float(np.log(np.sum(np.exp(logw - m))))
+    w = np.exp(logw - lse)
     w /= np.sum(w)
     return w, lse
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + float(np.log(np.sum(np.exp(a - m))))
 
 
 def is_persymmetric(J: SymmetricJacobi, tol: float = 1e-10) -> bool:

@@ -105,19 +105,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def monic(self) -> "Polynomial":
-        """Rescale so the leading coefficient is exactly one."""
-        lead = self.lead
-        out = self.coeffs / lead
-        out[-1] = 1.0
-        return Polynomial(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 

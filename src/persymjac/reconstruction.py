@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_logr,
-                     _closed_form_weights, _mirror_signs, weights_persymmetric)
+                     _mirror_signs, _unit_mass, weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -73,12 +73,6 @@ class MomentSequence:
 
     c: np.ndarray
 
-    def __len__(self) -> int:
-        return self.c.size
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.c[k])
-
 
 # ----------------------------------------------------------------------
 # measure-side helpers
@@ -90,7 +84,9 @@ def moments(spectrum, upto: int) -> MomentSequence:
 
     ``c_0`` is exactly one by normalization.  Orders above ``2N`` are
     refused: the table has only ``N+1`` points, so higher moments carry
-    no new information and the callers here never need them.
+    no new information and the callers here never need them.  A moment
+    that leaves double range (``x_s^n`` overflowing at large ``|x|``)
+    raises ``NumericalError`` naming the first such order.
     """
     spec = Spectrum.coerce(spectrum)
     if not 0 <= upto <= 2 * spec.n:
@@ -100,9 +96,14 @@ def moments(spectrum, upto: int) -> MomentSequence:
     c = np.empty(upto + 1)
     c[0] = 1.0
     p = np.ones_like(x)
-    for k in range(1, upto + 1):
-        p = p * x
-        c[k] = float(np.sum(w * p))
+    with np.errstate(all="ignore"):
+        for k in range(1, upto + 1):
+            p = p * x
+            c[k] = float(np.sum(w * p))
+    lost = np.flatnonzero(~np.isfinite(c))
+    if lost.size:
+        raise NumericalError(f"moment of order {lost[0]} is not finite "
+                             "at working precision")
     return MomentSequence(c)
 
 
@@ -365,7 +366,7 @@ def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> 
 
 
 def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    w, _ = _closed_form_weights(xh)
+    w, _ = _unit_mass(_closed_form_logr(xh))
     return _stieltjes(xh, w, faults)
 
 

@@ -20,6 +20,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from persymjac.benchmark import CSV_HEADER
 from persymjac.cli import main
+from persymjac.deformation import deform_closed_form, deform_conjugate
+from persymjac.jacobi import SymmetricJacobi
+from persymjac.reconstruction import reconstruct_lagrange_euclid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -289,6 +292,40 @@ class TestExitCodes:
         for name in ("sublattice-moments", "mirror-relation"):
             assert by_name[name] == {"name": name, "status": "fail", "residual": np.inf}
 
+    @pytest.mark.parametrize("command, doc", [
+        ("verify", [[-1, 1], [2, 3]]),
+        ("reconstruct", {"spectrum": [[-1.0], [1.0]]}),
+        ("forward", {"n": 1, "b": [[0], [0]], "a": [1]}),
+        ("deform", {"n": 1, "b": [0, 0], "a": [[1]]}),
+    ])
+    def test_nested_arrays_are_input_errors(self, tmp_path, capsys, command, doc):
+        assert main([command, _write(tmp_path, "in.json", doc)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [None, [0], {}, 1.5, "1"])
+    def test_n_that_is_not_len_b_minus_one_is_an_input_error(self, tmp_path, capsys, n):
+        mat = _write(tmp_path, "m.json", {"n": n, "b": [0, 0], "a": [1]})
+        assert main(["forward", mat]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("forward", {"n": 1, "b": [{}, 1], "a": [1]}),
+        ("forward", {"n": 0, "b": [10 ** 400], "a": []}),
+        ("bench", {"families": [{"kind": "quadratic", "N": None}]}),
+        ("bench", {"families": [{"kind": "quadratic", "N": float("inf")}]}),
+        ("bench", {"families": [{"kind": "random-gap", "N": 3, "seed": None}]}),
+        ("bench", {"families": [{"kind": "quadratic", "N": 3, "step": [1]}]}),
+        ("bench", {"families": [], "reps": None}),
+        ("bench", {"families": [], "algorithms": 5}),
+        ("bench", {"families": [], "algorithms": [["gs"]]}),
+        ("bench", {"families": 5}),
+    ])
+    def test_non_numeric_values_are_input_errors(self, tmp_path, capsys, command, doc):
+        path = _write(tmp_path, "in.json", doc)
+        argv = ["bench", "--config", path] if command == "bench" else [command, path]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_successive_calls_share_one_parser(self, tmp_path, capsys):
         mat = _write(tmp_path, "m.json", MAT_2X2)
         spec = _write(tmp_path, "s.json", SYM4)
@@ -305,6 +342,34 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert main(["forward", mat]) == 0
         assert capsys.readouterr().out == outs[0]
+
+
+# ----------------------------------------------------------------------
+# the library and the command line deform the same matrices
+# ----------------------------------------------------------------------
+
+
+class TestDeformAgreement:
+    def test_library_and_cli_share_the_persymmetry_bound(self, tmp_path):
+        # the le reconstruction of this 12-point spectrum is palindromic
+        # only to 1.6e-10, above rounding but within DEFORM_TOL: the
+        # library and the command line must both deform it
+        rng = np.random.default_rng(4004)
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 11))))
+        jac = SymmetricJacobi.from_monic(reconstruct_lagrange_euclid(x))
+        err = max(float(np.max(np.abs(jac.b - jac.b[::-1]))),
+                  float(np.max(np.abs(jac.a - jac.a[::-1]))))
+        assert 1e-10 < err <= 1e-8
+        mat = _write(tmp_path, "m.json", {"n": jac.n, "b": list(jac.b), "a": list(jac.a)})
+        for theta in (0.1, 0.3, 0.6, 1.2):
+            closed = deform_closed_form(jac, theta)
+            conj = deform_conjugate(jac, theta)
+            assert np.max(np.abs(closed.b - conj.b)) <= err
+            assert np.max(np.abs(closed.a - conj.a)) <= err
+            out = tmp_path / "d.json"
+            assert main(["deform", mat, "--theta", repr(theta), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["b"] == list(closed.b) and doc["a"] == list(closed.a)
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +425,61 @@ class TestVerifyExitContract:
         # and a numerical breakdown 3
         spec = _write(tmp_path, "s.json", [float(x) for x in spectrum])
         assert main(["verify", spec, "--out", str(tmp_path / "v.json")]) in (0, 1, 3)
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract on arbitrary JSON (hypothesis)
+# ----------------------------------------------------------------------
+
+_numbers = st.integers(-3, 3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | _numbers,
+    lambda inner: (st.lists(inner, max_size=8)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def _matrix_docs(draw):
+    """Matrix files of up to 8 points with entries that are all small
+    integers or all arbitrary JSON, half of them palindromic; in two of
+    three ``n``, ``b``, ``a`` or the whole document is arbitrary JSON."""
+    size = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from((_numbers, _json_values)))
+    b = draw(st.lists(entries, min_size=size, max_size=size))
+    a = draw(st.lists(entries, min_size=size - 1, max_size=size - 1))
+    if draw(st.booleans()):
+        b = b[:(size + 1) // 2] + b[:size // 2][::-1]
+        a = a[:size // 2] + a[:(size - 1) // 2][::-1]
+    doc = {"n": size - 1, "b": b, "a": a}
+    key = draw(st.sampled_from((None, None, "n", "b", "a", "doc")))
+    if key == "doc":
+        return draw(_json_values)
+    if key is not None:
+        doc[key] = draw(_json_values)
+    return doc
+
+
+_spectrum_arrays = (st.lists(_numbers, max_size=8, unique=True)
+                    | st.lists(_json_values, max_size=8))
+_spectrum_docs = (_spectrum_arrays | st.fixed_dictionaries({"spectrum": _spectrum_arrays})
+                  | _json_values)
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(matrix=_matrix_docs(), spectrum=_spectrum_docs)
+    def test_any_json_document_exits_with_a_contract_code(self, tmp_path, matrix, spectrum):
+        # whatever the documents hold, every subcommand returns 0, 2 or 3,
+        # verify also 1, and none raises
+        mat = _write(tmp_path, "m.json", matrix)
+        spec = _write(tmp_path, "s.json", spectrum)
+        out = str(tmp_path / "out.json")
+        assert main(["forward", mat, "--out", out]) in (0, 2, 3)
+        assert main(["deform", mat, "--theta", "0.3", "--weights", "--out", out]) in (0, 2, 3)
+        assert main(["reconstruct", spec, "--out", out]) in (0, 2, 3)
+        assert main(["verify", spec, "--out", out]) in (0, 1, 2, 3)
 
 
 # ----------------------------------------------------------------------

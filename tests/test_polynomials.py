@@ -71,11 +71,6 @@ class TestPolynomialBasics:
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
 
-    def test_equality_and_hash(self):
-        assert Polynomial([1.0, 2.0]) == Polynomial([1.0, 2.0, 0.0])
-        assert Polynomial([1.0]) != Polynomial([2.0])
-        assert len({Polynomial([1.0, 2.0]), Polynomial([1.0, 2.0])}) == 1
-
     def test_arithmetic_small_cases(self):
         x2m1 = Polynomial([-1.0, 0.0, 1.0])
         xp1 = Polynomial([1.0, 1.0])
@@ -85,11 +80,6 @@ class TestPolynomialBasics:
         assert np.array_equal((xp1 * xp1).coeffs, [1.0, 2.0, 1.0])
         assert np.array_equal((2.0 * xp1).coeffs, [2.0, 2.0])
         assert (xp1 * Polynomial()).is_zero
-
-    def test_monic_rescale(self):
-        p = Polynomial([2.0, 4.0]).monic()
-        assert np.array_equal(p.coeffs, [0.5, 1.0])
-        assert p.lead == 1.0
 
     def test_evaluate_on_arrays(self):
         p = Polynomial([-1.0, 0.0, 1.0])
@@ -193,11 +183,9 @@ _unit = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def _unit_polys(draw, max_deg: int = 8, min_lead: float = 0.0):
+def _unit_polys(draw, max_deg: int = 8):
     deg = draw(st.integers(0, max_deg))
     c = draw(st.lists(_unit, min_size=deg + 1, max_size=deg + 1))
-    if min_lead:
-        c[-1] = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(min_lead, 1.0))
     return Polynomial(c)
 
 
@@ -230,14 +218,6 @@ def test_interpolant_passes_through_nodes(nodes, data):
     p = lagrange_interpolate(zip(nodes, ys))
     assert p.is_zero or p.degree < nodes.size
     assert np.max(np.abs(np.atleast_1d(p(nodes)) - ys)) <= 1e-9
-
-
-@settings(deadline=None)
-@given(p=_unit_polys(min_lead=0.5))
-def test_monic_lead_is_exactly_one(p):
-    m = p.monic()
-    assert m.lead == 1.0
-    assert m.degree == p.degree
 
 
 @settings(deadline=None)

@@ -7,6 +7,8 @@ the folded variants, and consistency of the moment/sublattice helpers
 that the half-lattice algorithm is built from.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -54,10 +56,12 @@ class TestMoments:
         assert got.c[0] == 1.0
         assert np.max(np.abs(got.c - np.array([1.0, 0.0, 0.5]))) <= 1e-15
 
-    def test_sequence_protocol(self):
-        got = moments([-1.0, 1.0], 2)
-        assert len(got) == 3
-        assert got[2] == 1.0
+    def test_overflow_is_a_numerical_error_without_warnings(self):
+        # 3.0 ** 647 is the first power of the end points above double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="order 647 "):
+                moments(np.linspace(-1.0, 1.0, 1024) * 3.0, 2046)
 
     def test_symmetric_spectra_have_vanishing_odd_moments(self):
         rng = np.random.default_rng(4001)
@@ -402,11 +406,3 @@ class TestHankelOracle:
     def test_accepts_raw_arrays(self):
         got = poly_from_moments_hankel(np.array([1.0, 0.0, 1.0, 0.0]), 1)
         assert np.array_equal(got.coeffs, [0.0, 1.0])
-
-
-class TestMomentSequenceType:
-    def test_is_a_lightweight_sequence(self):
-        ms = MomentSequence(np.array([1.0, 0.0, 0.5]))
-        assert len(ms) == 3
-        assert ms[0] == 1.0
-        assert ms[2] == 0.5
