@@ -46,6 +46,11 @@ _DUP_REL = 1e-12
 
 
 def _asarray1d(values, name: str) -> np.ndarray:
+    # NumPy would read strings and booleans as numbers
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if raw.dtype.kind in "bSU" or raw.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, bool, np.bool_)) for v in raw.flat):
+        raise ValueError(f"{name} must contain only numbers, not strings or booleans")
     try:
         arr = np.array(values, dtype=float, ndmin=1)
     except (TypeError, OverflowError) as exc:
@@ -141,12 +146,21 @@ class MonicJacobi:
         return f"MonicJacobi(b={list(self.b)!r}, u={list(self.u)!r})"
 
 
+def _first_bad_degree(b: np.ndarray, u: np.ndarray) -> int | None:
+    """First degree ``k`` lacking finite ``b_k`` and ``0 < u_k < inf``, or
+    ``None``.  A bad ``u_k`` turns all later ones NaN: ``k`` is the breakdown."""
+    ok = np.isfinite(b)
+    ok[1:] &= (u > 0.0) & (u < np.inf)
+    k = int(np.argmin(ok))
+    return None if ok[k] else k
+
+
 class SymmetricJacobi:
     """Symmetric tridiagonal matrix: diagonal ``b``, off-diagonal ``a``.
 
     Couplings ``a_n`` may carry either sign (isospectral deformations
     produce negative and, on a measure-zero angle set, zero couplings);
-    conversion to monic form requires them all nonzero.
+    conversion to monic form requires each ``a_n**2`` positive and finite.
     """
 
     __slots__ = ("b", "a")
@@ -169,9 +183,13 @@ class SymmetricJacobi:
         return cls(K.b, np.sqrt(K.u))
 
     def to_monic(self) -> MonicJacobi:
-        if self.a.size and np.any(self.a == 0):
-            raise NumericalError("matrix has a zero coupling; monic form undefined")
-        return MonicJacobi(self.b, self.a * self.a)
+        """Monic form ``u_n = a_n**2``; each square must be positive and finite."""
+        with np.errstate(all="ignore"):
+            u = self.a * self.a
+        bad = _first_bad_degree(self.b, u)
+        if bad is not None:
+            raise NumericalError(f"coupling a_{bad} squared is zero or not finite")
+        return MonicJacobi(self.b, u)
 
     @property
     def n(self) -> int:
@@ -371,22 +389,23 @@ def eigenvalues(K: MonicJacobi) -> Spectrum:
     pivmin = 1e-292 * max(1.0, float(np.max(u)))
     lo = np.full(n1, lo0)
     hi = np.full(n1, hi0)
-    iters = int(np.ceil(np.log2(max((hi0 - lo0) / _BISECT_ABS, 2.0)))) + 1
-    levels = min(iters, 200)
+    # capped before int(): a span past double range counts inf levels
+    levels = int(min(np.ceil(np.log2(max((hi0 - lo0) / _BISECT_ABS, 2.0))) + 1, 200))
     # the deepest tree whose n1 * (2**depth - 1) midpoints fit in one sweep
     depth = max(1, (_SWEEP_WIDTH // n1 + 1).bit_length() - 1)
-    for done in range(0, levels, depth):
-        lo, hi = _multisect(b, u, lo, hi, min(depth, levels - done), pivmin)
-    lam = 0.5 * (lo + hi)
-    for _ in range(5):
-        _, val, dval, _ = _char_eval(b, u, lam)
-        safe = dval != 0.0
-        step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        new = np.clip(lam - step, lo, hi)
-        moved = float(np.max(np.abs(new - lam)))
-        lam = new
-        if moved == 0.0:
-            break
+    with np.errstate(all="ignore"):
+        for done in range(0, levels, depth):
+            lo, hi = _multisect(b, u, lo, hi, min(depth, levels - done), pivmin)
+        lam = 0.5 * (lo + hi)
+        for _ in range(5):
+            _, val, dval, _ = _char_eval(b, u, lam)
+            safe = dval != 0.0
+            step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
+            new = np.clip(lam - step, lo, hi)
+            moved = float(np.max(np.abs(new - lam)))
+            lam = new
+            if moved == 0.0:
+                break
     try:
         return Spectrum(lam)
     except ValueError as exc:
@@ -420,11 +439,13 @@ def weights_persymmetric(spectrum) -> tuple[WeightTable, float]:
     ``P_{N+1}(x) = prod (x - x_s)``; for a strictly increasing spectrum
     the sign prefactor cancels the sign of the derivative, so every
     ``r_s`` is positive.  The table is normalized to total mass one and
-    the implied norm ``h_N = (sum r_s)**-2`` is returned with it.
+    the implied norm ``h_N = (sum r_s)**-2`` (``inf`` past double range)
+    is returned with it.
     """
     spec = Spectrum.coerce(spectrum)
     w, lse = _unit_mass(_closed_form_logr(spec.values))
-    return WeightTable(spec, w), float(np.exp(-2.0 * lse))
+    with np.errstate(over="ignore"):
+        return WeightTable(spec, w), float(np.exp(-2.0 * lse))
 
 
 def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarray:
@@ -451,11 +472,8 @@ def _unit_mass(logw: np.ndarray) -> tuple[np.ndarray, float]:
 
 def is_persymmetric(J: SymmetricJacobi, tol: float = 1e-10) -> bool:
     """Whether ``J`` equals its anti-diagonal reflection within ``tol``."""
-    if float(np.max(np.abs(J.b - J.b[::-1]), initial=0.0)) > tol:
-        return False
-    if J.a.size and float(np.max(np.abs(J.a - J.a[::-1]))) > tol:
-        return False
-    return True
+    with np.errstate(over="ignore"):  # an overflowed difference is inf > tol
+        return all(float(np.max(np.abs(v - v[::-1]), initial=0.0)) <= tol for v in (J.b, J.a))
 
 
 def _mirror_signs(n: int) -> np.ndarray:

@@ -19,21 +19,20 @@ All four accept the spectrum unsorted (it is sorted on entry, with an
 error on duplicates) and return the monic form with ``u_n > 0``.  The
 spectrum is affinely mapped onto ``[-1, 1]`` internally and the
 coefficients are mapped back exactly (``b -> rho*b + mu``,
-``u -> rho^2 * u``), which keeps the coefficient representations well
-scaled regardless of the input's units.
+``u -> rho^2 * u``), which keeps the coefficients well scaled.
 
-Everything degrades gracefully rather than silently: descent weights or
-orthogonalization norms that come out nonpositive raise
-``NumericalError``.  A guard never cuts an algorithm short: the whole
-operation sequence runs, and the first breakdown is raised after it.
-The coefficient-space routes (``le``, ``mf``)
-break down first as ``N`` grows -- representing high-degree polynomials
-by monomial coefficients is exponentially ill-conditioned.  ``gs``
-completes at every size, but its full-lattice Stieltjes sweep drifts
-from about a hundred points on.  ``hl`` stays exact for about two
-thousand points: its Lanczos vectors stay representable after the
-sublattice weights underflow, and it raises once its start vector
-leaves the normal range.
+Everything degrades gracefully rather than silently.  A guard never cuts
+an algorithm short: the whole operation sequence runs, one check then
+asks whether the mapped-back coefficients form a matrix (finite ``b``,
+``0 < u < inf``, so spans past about 1e154 fail), and the first
+breakdown is raised as ``NumericalError``.  The coefficient-space routes
+(``le``, ``mf``) break down first as ``N`` grows -- representing
+high-degree polynomials by monomial coefficients is exponentially
+ill-conditioned.  ``gs`` completes at every size, but its full-lattice
+Stieltjes sweep drifts from about a hundred points on.  ``hl`` stays
+exact for about two thousand points: its Lanczos vectors stay
+representable after the sublattice weights underflow, and it raises once
+its start vector leaves the normal range.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_logr,
-                     _mirror_signs, _unit_mass, weights_persymmetric)
+                     _first_bad_degree, _mirror_signs, _unit_mass, weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -114,15 +113,19 @@ def sublattice_weights(spectrum) -> tuple[WeightTable, WeightTable]:
     every ``N`` both restrictions reproduce the moments of orders
     ``0..N-1``, since ``sum_s (-1)^{N+s} w_s x_s^k = (J^k)_{0N}``
     vanishes below order ``N``; so the low polynomials are orthogonal on
-    either sublattice.
+    either sublattice.  Far from unit scale the closed form's log sums
+    unbalance the two masses, which raises ``NumericalError``.
     """
     spec = Spectrum.coerce(spectrum)
     if spec.n == 0:
         raise ValueError("sublattices require at least two spectral points")
     full, _ = weights_persymmetric(spec)
     x, w = spec.values, full.w
-    return (WeightTable(Spectrum(x[0::2]), 2.0 * w[0::2]),
-            WeightTable(Spectrum(x[1::2]), 2.0 * w[1::2]))
+    try:
+        return (WeightTable(Spectrum(x[0::2]), 2.0 * w[0::2]),
+                WeightTable(Spectrum(x[1::2]), 2.0 * w[1::2]))
+    except ValueError as exc:  # the points are valid, so the masses failed
+        raise NumericalError(f"sublattice weights at working precision: {exc}") from exc
 
 
 def midpoint_data(spectrum) -> MidpointData:
@@ -263,8 +266,7 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
 # ----------------------------------------------------------------------
 
 
-def _stieltjes(x: np.ndarray, w: np.ndarray, faults: list[str]
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _stieltjes(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of the discrete measure ``sum w_s delta(x_s)``.
 
     Serves ``gs`` only; ``hl`` runs ``_lanczos``.  Iterates the
@@ -272,7 +274,8 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, faults: list[str]
     and ``u_{n+1} = ||(x - b_n) chi_n - a_n chi_{n-1}||^2`` (the same
     inner-product ratios as the monic formulation, carried in normalized
     form so the iterates stay representable).  Produces ``b_0..b_N`` and
-    ``u_1..u_N`` for the ``N+1`` points.
+    ``u_1..u_N`` for the ``N+1`` points.  A norm that vanishes turns
+    every later coefficient NaN, which ``_reconstruct``'s check reports.
     """
     n = x.size - 1
     b = np.empty(n + 1)
@@ -286,9 +289,6 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, faults: list[str]
         if k < n:
             r = (x - bk) * q - a_prev * q_prev
             uk = float(np.sum(w * r * r))
-            if not np.isfinite(uk) or uk <= 0.0:
-                faults.append("orthogonalization broke down: vanishing norm at "
-                              f"degree {k + 1}")
             a = np.sqrt(uk)
             u[k] = uk
             q_prev, q, a_prev = q, r / a, a
@@ -304,10 +304,11 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
     Math. 44, 1984).  The Lanczos vectors are ``sqrt(w) chi_n(x)``: rows
     of an orthogonal matrix, so they stay representable where ``w``
     alone underflows.  The start vector is formed from the logs, and a
-    component below the normal range is a breakdown.  Each degree costs
-    one product with ``x``, two dot products and in-place updates of
-    three preallocated buffers.  Produces ``b_0..b_{nb-1}`` and
-    ``u_1..u_nu``; ``nu`` must be ``nb`` or ``nb - 1``.
+    component below the normal range is a breakdown; a vanishing norm is
+    left to ``_reconstruct``, as in ``_stieltjes``.  Each degree costs one
+    product with ``x``, two dot products and in-place updates of three
+    preallocated buffers.  Produces ``b_0..b_{nb-1}`` and ``u_1..u_nu``;
+    ``nu`` must be ``nb`` or ``nb - 1``.
     """
     half = 0.5 * (logr - np.max(logr))
     lost = int(np.count_nonzero(half < _LOG_TINY))
@@ -332,32 +333,11 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
         np.multiply(v, bk, out=v_prev)
         r -= v_prev
         uk = float(r @ r)
-        if not np.isfinite(uk) or uk <= 0.0:
-            faults.append("orthogonalization broke down: vanishing norm at "
-                          f"degree {k + 1}")
         a_prev = np.sqrt(uk)
         u[k] = uk
         r /= a_prev
         v_prev, v, r = v, r, v_prev
     return b, u
-
-
-# ----------------------------------------------------------------------
-# affine scaling
-# ----------------------------------------------------------------------
-
-
-def _affine_pullback(spec: Spectrum) -> tuple[np.ndarray, float, float]:
-    """Map the spectrum onto [-1, 1]; returns (mapped points, center, half-span)."""
-    x = spec.values
-    mu = 0.5 * (x[0] + x[-1])
-    rho = 0.5 * (x[-1] - x[0])
-    return (x - mu) / rho, mu, rho
-
-
-def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> MonicJacobi:
-    """Undo the spectral rescaling on recurrence data: exact covariance."""
-    return MonicJacobi(rho * b + mu, (rho * rho) * u)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +347,7 @@ def _affine_pushforward(b: np.ndarray, u: np.ndarray, mu: float, rho: float) -> 
 
 def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
     w, _ = _unit_mass(_closed_form_logr(xh))
-    return _stieltjes(xh, w, faults)
+    return _stieltjes(xh, w)
 
 
 def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -396,8 +376,6 @@ def _mf_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     b_low, u_low = _chain_arrays(hi, lo, faults)
     coeff = _closing(sigma0, sigma1, n)
     if n % 2:
-        if coeff <= 0:
-            faults.append("midpoint closing weight is nonpositive")
         u_low = np.append(u_low, coeff)
     else:
         b_low[n // 2] = coeff
@@ -415,8 +393,6 @@ def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     if n % 2:
         b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_low))
         u_mid = coeff
-        if u_mid <= 0:
-            faults.append("half-lattice closing weight is nonpositive")
     else:
         b_mid = coeff
         # u_L is pinned by the midpoint polynomial identity
@@ -424,29 +400,33 @@ def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
         # coefficient of x^(L-1) reduces it to sublattice power sums
         q0, q1 = float(np.sum(ev * ev)), float(np.sum(od * od))
         u_mid = 0.25 * (q0 - q1 - b_mid ** 2)
-        if u_mid <= 0:
-            faults.append("half-lattice closing weight is nonpositive; "
-                          "spectrum is not realizable at working precision")
     return _mirror(np.append(b_low, b_mid), np.append(u_low, u_mid), n)
 
 
 def _reconstruct(core, spectrum) -> MonicJacobi:
     """Run ``core`` on the spectrum mapped onto [-1, 1] and map back.
 
-    The core runs its full operation sequence whatever its guards find;
-    the first fault they recorded is raised as ``NumericalError`` once
-    it returns.
+    The core runs its full operation sequence whatever its guards find.
+    The first fault, the core's before the one range check on the
+    mapped-back coefficients, is raised as ``NumericalError``.
     """
     spec = Spectrum.coerce(spectrum)
     if spec.n == 0:
         return MonicJacobi(spec.values, ())
-    xh, mu, rho = _affine_pullback(spec)
+    x = spec.values
     faults: list[str] = []
     with np.errstate(all="ignore"):
-        b, u = core(xh, faults)
+        mu = 0.5 * (x[0] + x[-1])
+        rho = 0.5 * (x[-1] - x[0])
+        b, u = core((x - mu) / rho, faults)
+        b, u = rho * b + mu, (rho * rho) * u
+    bad = _first_bad_degree(b, u)
+    if bad is not None:
+        faults.append(f"recurrence coefficients at degree {bad} do not form a matrix "
+                      "at working precision (need finite b_k and 0 < u_k < inf)")
     if faults:
         raise NumericalError(faults[0])
-    return _affine_pushforward(b, u, mu, rho)
+    return MonicJacobi(b, u)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ silently drift into agreement with a wrong implementation.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,40 @@ class TestExitCodes:
         for name in ("sublattice-moments", "mirror-relation"):
             assert by_name[name] == {"name": name, "status": "fail", "residual": np.inf}
 
+    def test_coefficients_beyond_double_range_are_numerical_failures(self, tmp_path, capsys):
+        # u = a^2 or rho^2 * u overflows: a breakdown (3), not bad input (2)
+        spec = _write(tmp_path, "s.json", [-1e200, 0.0, 1e200])
+        mat = _write(tmp_path, "m.json", {"n": 2, "b": [0, 0, 0], "a": [1e200, 1e200]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alg in ("gs", "le", "mf", "hl"):
+                assert main(["reconstruct", spec, "--algorithm", alg]) == 3
+            assert main(["forward", mat]) == 3
+            assert main(["deform", mat, "--theta", "0.3", "--weights"]) == 3
+            assert "at degree 1" in capsys.readouterr().err
+            assert main(["verify", spec]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["status"] for c in doc["checks"]] == ["fail", "fail", "pass", "fail", "fail"]
+
+    @pytest.mark.parametrize("command, doc", [
+        ("forward", {"n": 2, "b": [1e300, 0, 1e300], "a": [1, 1]}),
+        ("deform", {"n": 2, "b": [1e300, 0, 1e300], "a": [1, 1]}),
+        ("forward", {"n": 1, "b": [-1e308, 1e308], "a": [1]}),
+    ])
+    def test_spreads_beyond_double_range_are_numerical_failures(self, tmp_path, capsys,
+                                                                command, doc):
+        # the eigensolver's bisection level count was int(inf)
+        argv = [command, _write(tmp_path, "m.json", doc)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + (["--weights"] if command == "deform" else [])) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
+    def test_verify_single_point_beyond_the_square_root_of_double_range(self, tmp_path, capsys):
+        # the midpoint-closure scale radius**2 raised OverflowError
+        assert main(["verify", _write(tmp_path, "s.json", [-7.85e214])]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     @pytest.mark.parametrize("command, doc", [
         ("verify", [[-1, 1], [2, 3]]),
         ("reconstruct", {"spectrum": [[-1.0], [1.0]]}),
@@ -302,7 +337,7 @@ class TestExitCodes:
         assert main([command, _write(tmp_path, "in.json", doc)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [None, [0], {}, 1.5, "1"])
+    @pytest.mark.parametrize("n", [None, [0], {}, 1.5, "1", True])
     def test_n_that_is_not_len_b_minus_one_is_an_input_error(self, tmp_path, capsys, n):
         mat = _write(tmp_path, "m.json", {"n": n, "b": [0, 0], "a": [1]})
         assert main(["forward", mat]) == 2
@@ -319,6 +354,13 @@ class TestExitCodes:
         ("bench", {"families": [], "algorithms": 5}),
         ("bench", {"families": [], "algorithms": [["gs"]]}),
         ("bench", {"families": 5}),
+        # NumPy reads strings and booleans as numbers; the files are refused
+        ("forward", {"n": True, "b": ["0", " 0 "], "a": ["1_0"]}),
+        ("forward", {"n": 1, "b": [True, 1], "a": [1]}),
+        ("deform", {"n": 1, "b": [0, 0], "a": [False]}),
+        ("reconstruct", [False, True, "2"]),
+        ("reconstruct", {"spectrum": [True, 2]}),
+        ("verify", ["-1", "1"]),
     ])
     def test_non_numeric_values_are_input_errors(self, tmp_path, capsys, command, doc):
         path = _write(tmp_path, "in.json", doc)
@@ -406,10 +448,10 @@ class TestRoundTripIdentity:
 
 @st.composite
 def _separated_spectra(draw, max_points: int = 40):
-    """Finite spectra of 1..max_points points at scales 1e-6..1e6, with
-    neighbour gaps of at least a twentieth of the scale."""
+    """Finite spectra of 1..max_points points at scales 1e-300..1e300,
+    with neighbour gaps of at least a twentieth of the scale."""
     count = draw(st.integers(1, max_points))
-    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
     fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=count - 1, max_size=count - 1))
     gaps = scale * (0.05 + np.array(fracs, dtype=float))
     start = scale * draw(st.floats(-20.0, 20.0))
@@ -425,6 +467,34 @@ class TestVerifyExitContract:
         # and a numerical breakdown 3
         spec = _write(tmp_path, "s.json", [float(x) for x in spectrum])
         assert main(["verify", spec, "--out", str(tmp_path / "v.json")]) in (0, 1, 3)
+
+
+@st.composite
+def _persymmetric_matrices(draw, max_points: int = 24):
+    """Matrix files of 1..max_points points at scales 1e-300..1e300:
+    palindromic ``b`` from ``scale * [-1, 1]`` and ``a`` from
+    ``scale * [0.05, 1]``."""
+    size = draw(st.integers(1, max_points))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    half_b = draw(st.lists(st.floats(-1.0, 1.0), min_size=(size + 1) // 2,
+                           max_size=(size + 1) // 2))
+    half_a = draw(st.lists(st.floats(0.05, 1.0), min_size=size // 2, max_size=size // 2))
+    b = half_b + half_b[:size // 2][::-1]
+    a = half_a + half_a[:(size - 1) // 2][::-1]
+    return {"n": size - 1, "b": [scale * v for v in b], "a": [scale * v for v in a]}
+
+
+class TestMatrixExitContract:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(matrix=_persymmetric_matrices())
+    def test_well_formed_matrices_never_exit_as_input_errors(self, tmp_path, matrix):
+        # a coupling whose square leaves double range is a breakdown (3),
+        # never malformed input (2)
+        mat = _write(tmp_path, "m.json", matrix)
+        out = str(tmp_path / "out.json")
+        assert main(["forward", mat, "--out", out]) in (0, 3)
+        assert main(["deform", mat, "--theta", "0.3", "--weights", "--out", out]) in (0, 3)
 
 
 # ----------------------------------------------------------------------

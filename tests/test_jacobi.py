@@ -6,6 +6,8 @@ formulas against their pinned rational values, and the mirror-symmetry
 machinery against both positive and negative controls.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ class TestSpectrum:
         s = Spectrum([0.0, 1.0])
         assert Spectrum.coerce(s) is s
 
+    @pytest.mark.parametrize("values", [
+        [False, True, "2"], ["0", " 0 "], ["1_0"], [True, 1.0], [1.0, np.True_],
+        "3", True, np.array([False, True]), np.array(["1", "2"]),
+        np.array([1.0, "2"], dtype=object),
+    ])
+    def test_rejects_strings_and_booleans(self, values):
+        # NumPy would read each of these as numbers
+        with pytest.raises(ValueError, match="only numbers"):
+            Spectrum.from_values(values)
+
 
 class TestMatrixTypes:
     def test_monic_rejects_nonpositive_u(self):
@@ -99,6 +111,15 @@ class TestMatrixTypes:
     def test_to_monic_rejects_zero_coupling(self):
         with pytest.raises(NumericalError):
             SymmetricJacobi([0.0, 0.0], [0.0]).to_monic()
+
+    @pytest.mark.parametrize("a, degree", [
+        ([1.0, 1e200], 2), ([1e-200, 1.0], 1), ([-1e155, 1e155], 1)])
+    def test_to_monic_names_the_coupling_whose_square_leaves_range(self, a, degree):
+        # a computed u_n outside double range is a breakdown, not bad input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"coupling a_{degree} squared"):
+                SymmetricJacobi([0.0, 0.0, 0.0], a).to_monic()
 
     def test_dense_layout(self):
         j = SymmetricJacobi([1.0, 2.0, 3.0], [4.0, 5.0])
@@ -164,6 +185,15 @@ class TestEigenvalues:
     def test_single_point_matrix(self):
         got = eigenvalues(MonicJacobi([5.0], []))
         assert np.array_equal(got.values, [5.0])
+
+    @pytest.mark.parametrize("b, u", [
+        ([-1e308, 1e308], [1.0]), ([1e300, 0.0, 1e300], [1.0, 1.0])])
+    def test_spread_beyond_double_range_is_a_numerical_error(self, b, u):
+        # the bisection level count was int(inf): an OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                eigenvalues(MonicJacobi(b, u))
 
     def test_diagonal_shift_equivariance(self):
         rng = np.random.default_rng(3002)
@@ -428,6 +458,11 @@ class TestWeightsPersymmetric:
 
 
 class TestPersymmetryPredicates:
+    def test_is_persymmetric_overflowing_difference_is_not_persymmetric(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_persymmetric(SymmetricJacobi([-1e308, 1e308], [1.0]))
+
     def test_is_persymmetric_pinned(self):
         assert is_persymmetric(SymmetricJacobi([0.0, 0.0], [1.0]))
         assert is_persymmetric(SymmetricJacobi([1.0, 2.0, 1.0], [3.0, 3.0]))

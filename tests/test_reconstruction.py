@@ -290,6 +290,33 @@ class TestReconstructorsSeeded:
             assert rec.n == 64
 
 
+class TestCoefficientRange:
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("scale", (1e200, 1e-170))
+    def test_coefficients_outside_double_range_are_a_numerical_error(self, alg, scale):
+        # u_1 = rho^2 / 2 overflows to inf or underflows to 0; the one
+        # range check names degree 1, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at degree 1 do not form a matrix"):
+                ALGORITHMS[alg]([-scale, 0.0, scale])
+
+    @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
+    def test_largest_representable_coefficients_pass(self, alg):
+        rec = ALGORITHMS[alg]([-1e150, 0.0, 1e150])
+        assert np.max(np.abs(rec.u - 0.5e300)) <= 1e-12 * 0.5e300
+
+    def test_sublattice_mass_lost_far_from_unit_scale_is_a_numerical_error(self):
+        # the closed form's log sums round to ~eps * N * |log x|: at 1e-292
+        # the doubled halves of this 40-point spectrum miss unit mass by
+        # 2.3e-12, against 1e-15 for the same spectrum at unit scale
+        x = np.cumsum(0.05 + np.random.default_rng(8).uniform(0.0, 1.0, 40))
+        with pytest.raises(NumericalError, match="sublattice weights"):
+            sublattice_weights(1e-292 * x)
+        even, _ = sublattice_weights(x)
+        assert abs(np.sum(even.w) - 1.0) <= 1e-14
+
+
 class TestLargeSpectra:
     def test_mirror_fold_overflowing_sublattice_polynomial_is_a_numerical_error(self):
         # at N = 359 the sublattice polynomials' coefficients pass 1e13,
