@@ -16,8 +16,13 @@ Sturm counts of the recurrence, followed by a short Newton polish.  The
 bisection runs as a multisection sweep: one pass of the recurrence
 counts at the midpoints of the next several levels of every bracket's
 bisection tree, and a walk down the tree with those counts narrows the
-brackets exactly as that many single bisection steps would.  Node
-weights come from the classical formulas
+brackets exactly as that many single bisection steps would.  Both the
+Sturm chain and the Newton recurrence sweep their rows in fixed-size
+blocks without guards, then check each guard (the pivot clamp, the
+rescale window) once per block; a block where a guard fires is redone
+row by row from its entry state, so the results are those of the
+row-by-row recurrences to the last bit.  Node weights come from the
+classical formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
     w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)       (persymmetric)
@@ -37,10 +42,16 @@ from .polynomials import Polynomial
 
 # Bisection brackets are narrowed to this absolute width before Newton.
 _BISECT_ABS = 1e-13
-# Most Sturm-count points in one multisection sweep.  Per-call overhead
-# dominates a sweep at small N, so a wider sweep pays until the arithmetic
-# catches up; from 171 points on each sweep is a single bisection step.
+# Most Sturm-count points in one multisection sweep.  A wider sweep takes
+# more levels per pass of the recurrence but counts at more points per
+# level.  Timed over the powers of two from 128 to 2048, 512 was fastest
+# at 11, 32 and 64 points and no width won at every size up to 513; any
+# width gives the same brackets.  From 171 points on (512 // 171 < 3)
+# each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
+# Most values in one block of the Sturm and Newton recurrences: a block
+# of rows is swept before its guards are checked, once.
+_BLOCK = 1 << 15
 # Relative gap below which two spectral points count as duplicates.
 _DUP_REL = 1e-12
 
@@ -274,24 +285,59 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) ->
     smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``.
 
     At small N the cost is the number of NumPy calls per row, not the
-    arithmetic, so each row works in place on preallocated buffers and
-    only records its negative pivots; they are counted once at the end.
+    arithmetic, so the chain runs through the rows in blocks of at most
+    ``_BLOCK`` values.  One call forms the block's ``b_i - x``, each row
+    then costs a divide and a subtract, and the pivot guard is checked
+    once for the whole block: when every ``|d_i| >= pivmin`` (NaN fails)
+    the clamp would have changed nothing.  Otherwise ``_sturm_redo`` runs
+    the block again from its entry row with the clamp on every row, which
+    is exactly the row-by-row chain.  The negative pivots of a block are
+    counted at once.
     """
-    neg = np.empty((b.size, xs.size), dtype=bool)
-    tiny = np.empty(xs.shape, dtype=bool)
-    t = np.empty_like(xs)
-    bl, ul = b.tolist(), u.tolist()
-    d = np.subtract(bl[0], xs)
-    for i in range(b.size):
+    m = xs.size
+    rows = min(b.size, max(1, _BLOCK // m))
+    buf = np.empty((rows, m))
+    entry = np.empty(m)
+    quot = np.empty(m)
+    cnt = np.zeros(m, dtype=np.intp)
+    ul = u.tolist()
+    for first in range(0, b.size, rows):
+        d = buf[:b.size - first]
+        np.subtract(b[first:first + rows, None], xs, out=d)
+        with np.errstate(all="ignore"):
+            prev = entry
+            for i, row in enumerate(d, first):
+                if i:
+                    np.divide(ul[i - 1], prev, out=quot)
+                    np.subtract(row, quot, out=row)
+                prev = row
+            clean = np.min(np.abs(d)) >= pivmin
+        if not clean:
+            np.subtract(b[first:first + rows, None], xs, out=d)
+            _sturm_redo(first, d, ul, entry, pivmin)
+        np.copyto(entry, d[-1])
+        cnt += np.count_nonzero(d < 0.0, axis=0)
+    return cnt
+
+
+def _sturm_redo(first: int, d: np.ndarray, ul: list, entry: np.ndarray, pivmin: float) -> None:
+    """Pivots of the rows ``first..`` clamped row by row, in place.
+
+    ``d`` holds ``b_i - x`` of those rows on entry and ``entry`` the pivot
+    of the row before them.
+    """
+    quot = np.empty_like(entry)
+    mag = np.empty_like(entry)
+    tiny = np.empty(entry.shape, dtype=bool)
+    prev = entry
+    for i, row in enumerate(d, first):
         if i:
-            np.subtract(bl[i], xs, out=t)
-            np.divide(ul[i - 1], d, out=d)
-            np.subtract(t, d, out=d)
-        np.abs(d, out=t)
-        np.less(t, pivmin, out=tiny)
-        np.copyto(d, -pivmin, where=tiny)
-        np.less(d, 0.0, out=neg[i])
-    return np.count_nonzero(neg, axis=0)
+            np.divide(ul[i - 1], prev, out=quot)
+            np.subtract(row, quot, out=row)
+        np.abs(row, out=mag)
+        np.less(mag, pivmin, out=tiny)
+        np.copyto(row, -pivmin, where=tiny)
+        prev = row
 
 
 def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
@@ -301,22 +347,76 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     their magnitude leaves a safe window, so only a common positive
     factor is lost; the accumulated log-scale is returned alongside.
 
-    The magnitude ``max(|p|, |dp|)`` of each row is carried into the
-    next, which needs the same maximum over its previous row.  Scaling by
-    a positive factor commutes with ``abs`` and ``max`` under monotone
-    rounding, so the carried value stays exact across a rescale.
+    The recurrence runs through the rows in blocks of at most ``_BLOCK``
+    values.  One call forms the block's ``x - b_i``; each row then
+    carries ``(P, P')`` as one pair and costs four calls, with the
+    roundings of ``t P - u P_prev`` and ``P + t P' - u P'_prev``.  The
+    window is tested once per block, over the carriers of all its rows.
+    The test of a row reads the magnitude ``max(|p|, |dp|)`` of the row
+    and of the one before it; scaling by a positive factor commutes with
+    ``abs`` and ``max`` under monotone rounding, so a block may start
+    from a rescaled row.  The block test fires when some row's test
+    would, and also on a non-finite carrier.  A rescale acts on each
+    point alone, so only the points whose magnitude left the window (or
+    is not finite) in some row of the block go to ``_char_redo``: it runs
+    the block again for them from its entry rows, testing and rescaling
+    row by row, which is exactly the row-by-row recurrence, its
+    floating-point warnings included.  No row would have rescaled any
+    other point, so their unguarded values are the recurrence's.
     """
     xs = np.asarray(xs, dtype=float)
-    p_prev = np.ones_like(xs)
-    p = xs - b[0]
-    dp_prev = np.zeros_like(xs)
-    dp = np.ones_like(xs)
+    m = xs.size
+    rows = min(max(b.size - 1, 1), max(1, _BLOCK // (2 * m)))
+    # rows 0 and 1 hold the two rows before the block: (P, P') per row
+    q = np.empty((rows + 2, 2, m))
+    q[0, 0], q[0, 1], q[1, 1] = 1.0, 0.0, 1.0
+    np.subtract(xs, b[0], out=q[1, 0])
+    tb = np.empty((rows, m))
+    tmp = np.empty((2, m))
+    magb = np.empty((rows + 1, 2, m))
+    topb = np.empty((rows + 1, m))
     logscale = np.zeros_like(xs)
+    ul = u.tolist()
+    for first in range(1, b.size, rows):
+        t = tb[:b.size - first]
+        k = t.shape[0]
+        np.subtract(xs, b[first:first + rows, None], out=t)
+        with np.errstate(all="ignore"):
+            for j in range(k):
+                prev, cur, nxt = q[j], q[j + 1], q[j + 2]
+                np.multiply(t[j], cur, out=nxt)
+                np.add(cur[0], nxt[1], out=nxt[1])
+                np.multiply(ul[first + j - 1], prev, out=tmp)
+                np.subtract(nxt, tmp, out=nxt)
+            mag = np.abs(q[1:k + 2], out=magb[:k + 1])
+            top = np.maximum(mag[:, 0], mag[:, 1], out=topb[:k + 1])
+            # the test of a row reads its own magnitude and its previous row's
+            win = np.maximum(top[1:], top[:-1], out=mag[:k, 0])
+            clean = np.max(win) <= 1e120 and np.min(win) >= 1e-120
+        if clean:
+            q[:2] = q[k:k + 2]
+        else:
+            cols = np.flatnonzero(~np.all((win >= 1e-120) & (win <= 1e120), axis=0))
+            sub = q[:2, :, cols]
+            logscale[cols] = _char_redo(first, sub, t[:, cols], ul, logscale[cols])
+            q[:2] = q[k:k + 2]
+            q[:2, :, cols] = sub
+    return q[0, 0], q[1, 0], q[1, 1], logscale
+
+
+def _char_redo(first: int, q: np.ndarray, t: np.ndarray, ul: list,
+               logscale: np.ndarray) -> np.ndarray:
+    """Rows ``first..`` of ``_char_eval`` tested and rescaled row by row.
+
+    ``q[0]`` and ``q[1]`` hold ``(P, P')`` of the two rows before them and
+    ``t`` their ``x - b_i``; the last two rows are left in ``q[0]`` and
+    ``q[1]``, and the updated log-scale is returned.
+    """
+    (p_prev, dp_prev), (p, dp) = q[0], q[1]
     top_prev = np.maximum(np.abs(p), np.abs(dp))
-    for bi, ui in zip(b[1:].tolist(), u.tolist()):
-        t = xs - bi
-        p_next = t * p - ui * p_prev
-        dp_next = p + t * dp - ui * dp_prev
+    for ti, ui in zip(t, ul[first - 1:]):
+        p_next = ti * p - ui * p_prev
+        dp_next = p + ti * dp - ui * dp_prev
         p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
         top = np.maximum(np.abs(p), np.abs(dp))
         m = np.maximum(top, top_prev)
@@ -329,7 +429,9 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
                 top = top * s
                 logscale = logscale - np.log(s)
         top_prev = top
-    return p_prev, p, dp, logscale
+    q[0, 0], q[0, 1] = p_prev, dp_prev
+    q[1, 0], q[1, 1] = p, dp
+    return logscale
 
 
 def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,

@@ -2,8 +2,9 @@
 
 Each file records one change's parent and change figures.  It must parse
 and must name every workload and end-to-end metric that
-``BENCHMARK.json`` declares, so that the history can be read as one
-trajectory.  Nothing is run here.
+``BENCHMARK.json`` declares, and the attempted and failed operations of
+each side, so that the history can be read as one trajectory, failure
+share included.  Nothing is run here.
 """
 
 import json
@@ -29,3 +30,5 @@ def test_names_every_declared_workload_and_metric(path):
             for side in ("parent", "change"):
                 figures = got[metric["name"]][side]
                 assert set(figures) >= {"median", "q1", "q3"}
+        for side in ("parent", "change"):
+            assert 0 <= got["failed_ops"][side] <= got["attempted_ops"][side]

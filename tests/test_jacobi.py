@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from persymjac import jacobi
 from persymjac.errors import NumericalError
 from persymjac.jacobi import (MonicJacobi, Spectrum, SymmetricJacobi, WeightTable,
                               eigenvalues, is_persymmetric, mirror_residual,
@@ -306,6 +307,25 @@ def _ref_weights(k: MonicJacobi, x: np.ndarray):
     return np.maximum(w, 0.0), rescaled
 
 
+def _late_zero_pivot() -> MonicJacobi:
+    """201 points whose first Sturm sweep meets an exactly zero pivot in
+    its last row, past the first block of rows.  A zero diagonal but for
+    ``b_0 = 1`` and ``b_N = -1`` centres the starting bracket, so that
+    sweep counts at ``x = 0`` exactly; unit couplings make the pivots
+    alternate ``+1, -1, ...`` there until ``b_N`` cancels the last one.
+    The clamp makes it negative, which decides the count at 0."""
+    b = np.zeros(201)
+    b[0], b[-1] = 1.0, -1.0
+    return MonicJacobi(b, np.ones(200))
+
+
+def _late_rescale() -> MonicJacobi:
+    """200 points, zero diagonal and constant couplings ``u = 0.0025``:
+    ``|P_n| ~ 0.05**n`` at the eigenvalues, so the Newton recurrence first
+    leaves the rescale window at degree 95, past the first block of rows."""
+    return MonicJacobi(np.zeros(200), np.full(199, 0.0025))
+
+
 def _forward_family():
     rng = np.random.default_rng(3010)
     yield MonicJacobi([0.7], [])
@@ -321,6 +341,8 @@ def _forward_family():
             yield MonicJacobi(b * scale, (a * scale) ** 2)
     for n in (1, 4, 31, 64, 169, 512):
         yield _equally_spaced(n, float(rng.uniform(-0.5, 0.5)))
+    yield _late_zero_pivot()
+    yield _late_rescale()
 
 
 class TestForwardSolverBits:
@@ -338,6 +360,23 @@ class TestForwardSolverBits:
             else:
                 assert weights_general(k, got).w.tobytes() == want_w.tobytes(), k.n
         assert rescaled >= 3
+
+    @pytest.mark.parametrize("make, redo, first_block", [
+        (_late_zero_pivot, "_sturm_redo", 0), (_late_rescale, "_char_redo", 1)])
+    def test_guard_first_fires_past_the_first_block(self, monkeypatch, make, redo, first_block):
+        # the guarded redo runs, and only on later blocks: the bits above
+        # then cover a redo that starts from the previous block's last row
+        starts = []
+        inner = getattr(jacobi, redo)
+
+        def spy(first, *args):
+            starts.append(first)
+            return inner(first, *args)
+
+        monkeypatch.setattr(jacobi, redo, spy)
+        k = make()
+        weights_general(k, eigenvalues(k))
+        assert starts and min(starts) > first_block
 
     def test_near_degenerate_pair_fails_with_the_same_message(self):
         # Wilkinson's W_31^+: its top two eigenvalues agree in double precision
