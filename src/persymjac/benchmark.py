@@ -186,7 +186,7 @@ def roundtrip_error(spec: Spectrum, algorithm: str,
     spec = Spectrum.coerce(spec)
     try:
         rec = ALGORITHMS[algorithm](spec)
-        back = eigenvalues(rec)
+        back = eigenvalues(rec, near=spec.values)
     except NumericalError:
         return math.inf, math.inf
     if truth is None:

@@ -90,14 +90,22 @@ def _cmd_forward(args) -> int:
     return 0
 
 
+def _tolerance(args) -> float:
+    """``--tolerance``, which must be a nonnegative number (``inf`` included)."""
+    if not args.tolerance >= 0.0:
+        raise ValueError(f"--tolerance must be a nonnegative number, not {args.tolerance}")
+    return args.tolerance
+
+
 def _cmd_reconstruct(args) -> int:
+    tol = _tolerance(args)
     spec = _load_spectrum(args.spectrum)
     rec = ALGORITHMS[args.algorithm](spec)
-    back = eigenvalues(rec)
+    back = eigenvalues(rec, near=spec.values)
     residual = float(np.max(np.abs(back.values - spec.values)))
-    if residual > args.tolerance:
+    if residual > tol:
         raise NumericalError(f"round-trip residual {residual:.3e} exceeds "
-                             f"the requested tolerance {args.tolerance:.3e}")
+                             f"the requested tolerance {tol:.3e}")
     sym = SymmetricJacobi.from_monic(rec)
     _emit_json({"n": rec.n, "b": _floats(sym.b), "a": _floats(sym.a),
                 "residual": residual}, args.out)
@@ -158,7 +166,7 @@ def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
         add("mirror-relation", math.inf)
     else:
         try:
-            back = eigenvalues(ref)
+            back = eigenvalues(ref, near=spec.values)
             add("spectral-roundtrip", float(np.max(np.abs(back.values - spec.values))))
         except NumericalError:
             add("spectral-roundtrip", math.inf)
@@ -208,10 +216,11 @@ def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    tol = _tolerance(args)
     spec = _load_spectrum(args.spectrum)
-    checks = _verify_checks(spec, args.tolerance)
+    checks = _verify_checks(spec, tol)
     passed = all(c["status"] != "fail" for c in checks)
-    _emit_json({"n": spec.n, "tolerance": args.tolerance,
+    _emit_json({"n": spec.n, "tolerance": tol,
                 "checks": checks, "passed": passed}, args.out)
     return 0 if passed else 1
 

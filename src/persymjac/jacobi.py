@@ -16,7 +16,13 @@ Sturm counts of the recurrence, followed by a short Newton polish.  The
 bisection runs as a multisection sweep: one pass of the recurrence
 counts at the midpoints of the next several levels of every bracket's
 bisection tree, and a walk down the tree with those counts narrows the
-brackets exactly as that many single bisection steps would.  Both the
+brackets exactly as that many single bisection steps would.  A caller
+that already holds a guess at the spectrum, as a round trip does, can
+pass it: each bracket the guess isolates then follows the path
+bisection would take to its guess, every level counted in one sweep,
+and keeps the counted steps up to the first one the guess got wrong.
+Every step kept is backed by its own count, so the eigenvalues are the
+same to the last bit whatever the guess.  Both the
 Sturm chain and the Newton recurrence sweep their rows in fixed-size
 blocks without guards, then check each guard (the pivot clamp, the
 rescale window) once per block; a block where a guard fires is redone
@@ -49,6 +55,10 @@ _BISECT_ABS = 1e-13
 # width gives the same brackets.  From 171 points on (512 // 171 < 3)
 # each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
+# Column c of a multisection grid is a midpoint of the level whose
+# half-width is c & -c columns; a grid has at most _SWEEP_WIDTH + 1 columns.
+_RULER = np.arange(1, _SWEEP_WIDTH + 1) & -np.arange(1, _SWEEP_WIDTH + 1)
+_RULER.flags.writeable = False
 # Most values in one block of the Sturm and Newton recurrences: a block
 # of rows is swept before its guards are checked, once.
 _BLOCK = 1 << 15
@@ -292,9 +302,14 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) ->
     the clamp would have changed nothing.  Otherwise ``_sturm_redo`` runs
     the block again from its entry row with the clamp on every row, which
     is exactly the row-by-row chain.  The negative pivots of a block are
-    counted at once.
+    counted at once.  More than ``_BLOCK`` points are counted in chunks
+    of ``_BLOCK``, so that no block exceeds it.  Only ``eigenvalues``
+    calls it, under its own ``np.errstate``.
     """
     m = xs.size
+    if m > _BLOCK:
+        return np.concatenate([_sturm_count(b, u, xs[i:i + _BLOCK], pivmin)
+                               for i in range(0, m, _BLOCK)])
     rows = min(b.size, max(1, _BLOCK // m))
     buf = np.empty((rows, m))
     entry = np.empty(m)
@@ -304,15 +319,13 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) ->
     for first in range(0, b.size, rows):
         d = buf[:b.size - first]
         np.subtract(b[first:first + rows, None], xs, out=d)
-        with np.errstate(all="ignore"):
-            prev = entry
-            for i, row in enumerate(d, first):
-                if i:
-                    np.divide(ul[i - 1], prev, out=quot)
-                    np.subtract(row, quot, out=row)
-                prev = row
-            clean = np.min(np.abs(d)) >= pivmin
-        if not clean:
+        prev = entry
+        for i, row in enumerate(d, first):
+            if i:
+                np.divide(ul[i - 1], prev, out=quot)
+                np.subtract(row, quot, out=row)
+            prev = row
+        if not np.min(np.abs(d)) >= pivmin:
             np.subtract(b[first:first + rows, None], xs, out=d)
             _sturm_redo(first, d, ul, entry, pivmin)
         np.copyto(entry, d[-1])
@@ -435,37 +448,128 @@ def _char_redo(first: int, q: np.ndarray, t: np.ndarray, ul: list,
 
 
 def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               depth: int, pivmin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Take ``depth`` bisection steps on every bracket with one Sturm sweep.
+               ks: np.ndarray, depth: int, steps, pivmin: float) -> None:
+    """Take ``steps`` bisection steps on each bracket with one Sturm sweep, in place.
 
-    Bracket ``k`` holds eigenvalue ``k``.  The first ``depth`` levels of
-    its bisection tree are laid out as a grid of ``2**depth + 1`` points,
-    each midpoint rounded as ``0.5 * (left + right)`` of its own parent
-    interval.  One sweep counts at every interior point, and the walk down
-    the tree then picks the side a step-by-step bisection would have
-    picked, so the returned brackets are the same to the last bit.
+    Bracket ``j`` holds eigenvalue ``ks[j]`` and takes ``steps[j] <=
+    depth`` steps (``steps`` may be one int for all).  The first
+    ``depth`` levels of its bisection tree are laid out as a grid of
+    ``2**depth + 1`` points, each midpoint rounded as ``0.5 * (left +
+    right)`` of its own parent interval.  One sweep counts at every
+    interior point, and the walk down the tree then picks the side a
+    step-by-step bisection would have picked, so the brackets are the
+    same to the last bit.  The walk runs all ``depth`` levels; a bracket
+    that stops after ``s`` of them rounds its position down to a multiple
+    of ``2**(depth - s)`` columns, which drops exactly the steps past its
+    own.
     """
-    n1 = lo.size
-    ks = np.arange(n1)
+    n = lo.size
     span = 1 << depth
-    grid = np.empty((n1, span + 1))
+    # rows padded to a power of two, so that flat indices round like columns
+    stride = 2 * span
+    grid = np.empty((n, stride))
     grid[:, 0] = lo
     grid[:, span] = hi
     step = span
     while step > 1:
         half = step // 2
-        grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
+        mid = grid[:, half:span:step]
+        np.add(grid[:, :span - 1:step], grid[:, step:span + 1:step], out=mid)
+        mid *= 0.5
         step = half
-    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel(), pivmin).reshape(n1, span - 1)
-    pos = np.zeros(n1, dtype=np.intp)
+    cnt = _sturm_count(b, u, grid[:, 1:span].ravel(), pivmin).reshape(n, span - 1)
+    # a midpoint with the eigenvalue on its right moves the walk by its half-width
+    jump = np.empty((n, stride), dtype=np.intp)
+    np.multiply(cnt <= ks[:, None], _RULER[:span - 1], out=jump[:, 1:span])
+    at = np.arange(0, n * stride, stride)
+    flat = jump.ravel()
     half = span
     while half > 1:
         half //= 2
-        pos += half * (cnt[ks, pos + half - 1] <= ks)
-    return grid[ks, pos], grid[ks, pos + 1]
+        at += flat[at + half]
+    width = span >> steps
+    at &= -width
+    flat = grid.ravel()
+    lo[:] = flat[at]
+    hi[:] = flat[at + width]
 
 
-def eigenvalues(K: MonicJacobi) -> Spectrum:
+def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            rem: np.ndarray, pivmin: float) -> None:
+    """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
+
+    Each multisection sweep takes as many levels of every unfinished
+    bracket as fit in ``_SWEEP_WIDTH`` points.  Sorted by levels left,
+    most first, the unfinished brackets stay a prefix, so a sweep reads
+    and writes them through slices.
+    """
+    live = int(np.count_nonzero(rem))
+    if not live:
+        return
+    order = np.argsort(-rem)
+    lo_s, hi_s, rem_s = lo[order], hi[order], rem[order]
+    while live:
+        left = rem_s[:live]
+        # the deepest tree whose live * (2**depth - 1) midpoints fit in one sweep
+        depth = min(max(1, (_SWEEP_WIDTH // live + 1).bit_length() - 1), int(left[0]))
+        # one int when every live bracket takes the whole tree
+        steps = depth if left[-1] >= depth else np.minimum(left, depth)
+        _multisect(b, u, lo_s[:live], hi_s[:live], order[:live], depth, steps, pivmin)
+        left -= steps
+        if not left[-1]:
+            live = int(np.count_nonzero(left))
+    lo[order], hi[order] = lo_s, hi_s
+
+
+def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, rem: np.ndarray, pivmin: float) -> None:
+    """Bisect along the paths the guesses ``near`` predict, checking every step.
+
+    On entry every bracket is the starting one with the same ``rem``
+    levels to go.  Bracket ``k`` speculates only if the counts at
+    ``near[k] -+ _BISECT_ABS`` are ``k`` and ``k + 1``.  Its path is the
+    one bisection would take if eigenvalue ``k`` were ``near[k]``: one
+    midpoint per level, each rounded as ``0.5 * (lo + hi)`` of its parent.
+    One Sturm sweep counts at every path point.  The bracket takes the
+    counted side at each level up to and including the first level whose
+    count contradicts the guess, so every step it keeps is the step
+    bisection takes; ``lo``, ``hi`` and ``rem`` are updated in place.
+    """
+    n1 = near.size
+    ks = np.arange(n1)
+    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)), pivmin)
+    ks = ks[(cnt[:n1] == ks) & (cnt[n1:] == ks + 1)]
+    if not ks.size:
+        return
+    m = ks.size
+    levels = int(rem[0])
+    x = near[ks]
+    # rows: the starting ends, then the midpoint of each level
+    ends = np.empty((levels + 2, m))
+    ends[0], ends[1] = lo[0], hi[0]
+    guess = np.empty((levels, m), dtype=bool)
+    l, h = ends[0], ends[1]
+    for mid, right in zip(ends[2:], guess):
+        np.add(l, h, out=mid)
+        mid *= 0.5
+        np.less_equal(mid, x, out=right)
+        l = np.where(right, mid, l)
+        h = np.where(right, h, mid)
+    counted = _sturm_count(b, u, ends[2:].ravel(), pivmin).reshape(levels, m) <= ks
+    wrong = counted != guess
+    # the last level is taken whether or not its guess was wrong
+    wrong[-1] = True
+    stop = np.argmax(wrong, axis=0)
+    row = np.arange(2, levels + 2)[:, None]
+    taken = row <= stop + 2
+    # each end is the midpoint of the last taken level that moved it
+    cols = np.arange(m)
+    lo[ks] = ends[np.max((taken & counted) * row, axis=0), cols]
+    hi[ks] = ends[np.max((taken > counted) * row, axis=0, initial=1), cols]
+    rem[ks] = levels - 1 - stop
+
+
+def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     """All eigenvalues of ``K``, strictly increasing.
 
     Bisection on Sturm counts from the interval
@@ -480,9 +584,22 @@ def eigenvalues(K: MonicJacobi) -> Spectrum:
     than the bracket width can round to the same double (Wilkinson's
     ``W_31^+`` is one such matrix); that raises ``NumericalError``
     ("eigenvalues failed to separate").
+
+    ``near``, if given, is a guess at the spectrum with one value per
+    eigenvalue, such as the spectrum a reconstruction was built from.
+    Each bracket the guess isolates first follows the bisection path
+    the guess predicts, all of it counted in one Sturm sweep, and keeps
+    the counted steps up to the first one the guess got wrong; the
+    multisection finishes the rest.  Every step kept is backed by its own
+    count, so the result, error or not, is the same to the last bit for
+    every guess; a good guess only makes it faster.
     """
     b, u = K.b, K.u
     n1 = b.size
+    if near is not None:
+        near = _asarray1d(near, "near")
+        if near.size != n1:
+            raise ValueError("near must hold one value per eigenvalue")
     if n1 == 1:
         return Spectrum(b)
     reach = 2.0 * float(np.sum(np.sqrt(u)))
@@ -493,11 +610,11 @@ def eigenvalues(K: MonicJacobi) -> Spectrum:
     hi = np.full(n1, hi0)
     # capped before int(): a span past double range counts inf levels
     levels = int(min(np.ceil(np.log2(max((hi0 - lo0) / _BISECT_ABS, 2.0))) + 1, 200))
-    # the deepest tree whose n1 * (2**depth - 1) midpoints fit in one sweep
-    depth = max(1, (_SWEEP_WIDTH // n1 + 1).bit_length() - 1)
+    rem = np.full(n1, levels)
     with np.errstate(all="ignore"):
-        for done in range(0, levels, depth):
-            lo, hi = _multisect(b, u, lo, hi, min(depth, levels - done), pivmin)
+        if near is not None:
+            _speculate(b, u, near, lo, hi, rem, pivmin)
+        _bisect(b, u, lo, hi, rem, pivmin)
         lam = 0.5 * (lo + hi)
         for _ in range(5):
             _, val, dval, _ = _char_eval(b, u, lam)

@@ -177,6 +177,18 @@ class TestExitCodes:
         assert main(["reconstruct", spec, "--tolerance", "1e-300"]) == 3
         assert main(["reconstruct", spec, "--tolerance", "1e-8"]) == 0
 
+    @pytest.mark.parametrize("command", ["reconstruct", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+    def test_nan_or_negative_tolerance_is_an_input_error(self, tmp_path, capsys, command, value):
+        spec = _write(tmp_path, "s.json", SYM4)
+        assert main([command, spec, f"--tolerance={value}"]) == 2
+        assert "error: --tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "verify"])
+    def test_infinite_tolerance_is_valid(self, tmp_path, command):
+        spec = _write(tmp_path, "s.json", SYM4)
+        assert main([command, spec, "--tolerance", "inf"]) == 0
+
     def test_deform_identity_angle(self, tmp_path, capsys):
         mat = _write(tmp_path, "m.json", {"n": 2, "b": [1, 2, 1], "a": [0.5, 0.5]})
         assert main(["deform", mat]) == 0

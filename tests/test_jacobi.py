@@ -17,6 +17,7 @@ from persymjac.jacobi import (MonicJacobi, Spectrum, SymmetricJacobi, WeightTabl
                               eigenvalues, is_persymmetric, mirror_residual,
                               recurrence_polynomials, weights_general,
                               weights_persymmetric)
+from persymjac.reconstruction import reconstruct_half_lattice
 
 
 def _palindrome(rng: np.random.Generator, length: int, lo: float, hi: float) -> np.ndarray:
@@ -387,6 +388,101 @@ class TestForwardSolverBits:
             eigenvalues(k)
         assert str(got.value) == str(want.value)
         assert "failed to separate" in str(got.value)
+
+
+def _guides(x: np.ndarray) -> list[np.ndarray]:
+    """Guesses at the spectrum ``x``: exact, a few ulps off, off by the
+    bracket width either way, far off, all zeros and in reverse order."""
+    ulps = 3.0 * np.spacing(np.abs(x))
+    far = 1e-3 * max(1.0, float(np.max(np.abs(x))))
+    return [x, x + ulps, x - ulps, x + jacobi._BISECT_ABS, x - jacobi._BISECT_ABS,
+            x + far, np.zeros_like(x), x[::-1]]
+
+
+def _sweeps(monkeypatch) -> list[np.ndarray]:
+    """The points of every Sturm sweep from here on, in call order."""
+    seen = []
+    inner = jacobi._sturm_count
+
+    def spy(b, u, xs, pivmin):
+        seen.append(xs.copy())
+        return inner(b, u, xs, pivmin)
+
+    monkeypatch.setattr(jacobi, "_sturm_count", spy)
+    return seen
+
+
+class TestGuidedEigenvalues:
+    """``eigenvalues(K, near=g)`` is ``eigenvalues(K)`` to the last bit."""
+
+    def test_bits_do_not_depend_on_the_guess(self):
+        for k in _forward_family():
+            want = eigenvalues(k).values
+            for g in _guides(want):
+                assert eigenvalues(k, near=g).values.tobytes() == want.tobytes(), k.n
+
+    def test_near_degenerate_pair_fails_with_the_same_message_for_any_guess(self):
+        k = MonicJacobi(np.abs(np.arange(-15.0, 16.0)), np.ones(30))
+        with pytest.raises(NumericalError) as want:
+            eigenvalues(k)
+        dense = np.linalg.eigvalsh(SymmetricJacobi.from_monic(k).dense())
+        for g in _guides(dense):
+            with pytest.raises(NumericalError) as got:
+                eigenvalues(k, near=g)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("near", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], [0.0, np.nan]])
+    def test_malformed_guess_is_a_value_error(self, near):
+        with pytest.raises(ValueError):
+            eigenvalues(MonicJacobi([0.0, 0.0], [1.0]), near=near)
+        if len(near) != 1:
+            with pytest.raises(ValueError):
+                eigenvalues(MonicJacobi([5.0], []), near=near)
+
+    @staticmethod
+    def _reconstruction():
+        rng = np.random.default_rng(0)
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 10))))
+        x = 2.0 * x / x[-1] - 1.0
+        return reconstruct_half_lattice(Spectrum(x)), x
+
+    def test_own_spectrum_needs_only_the_certify_and_speculative_sweeps(self, monkeypatch):
+        k, x = self._reconstruction()
+        sweeps = _sweeps(monkeypatch)
+        eigenvalues(k, near=x)
+        # the certify sweep at x -+ width, then one path for every bracket
+        assert len(sweeps) == 2
+        assert sweeps[0].size == 2 * x.size and sweeps[1].size % x.size == 0
+
+    def test_guess_off_by_half_the_bracket_width_repairs_late(self, monkeypatch):
+        k, x = self._reconstruction()
+        sweeps = _sweeps(monkeypatch)
+        eigenvalues(k, near=x + 0.5 * jacobi._BISECT_ABS)
+        # a third sweep finishes the repaired brackets, which are already
+        # within a few bracket widths of the eigenvalues
+        assert len(sweeps) > 2
+        later = np.concatenate(sweeps[2:])
+        assert np.max(np.min(np.abs(later[:, None] - x), axis=1)) <= 4 * jacobi._BISECT_ABS
+
+    def test_speculative_sweep_larger_than_one_block(self, monkeypatch):
+        # 48 path points for each of 700 brackets: more than one block holds
+        rng = np.random.default_rng(3011)
+        k = MonicJacobi(rng.uniform(-1.0, 1.0, 700), rng.uniform(0.1, 1.4, 699))
+        want = eigenvalues(k).values
+        sweeps = _sweeps(monkeypatch)
+        for g in (want, want + 0.5 * jacobi._BISECT_ABS):
+            assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
+        assert max(s.size for s in sweeps) > jacobi._BLOCK
+
+    def test_guess_of_zeros_sends_every_bracket_to_multisection(self, monkeypatch):
+        k, x = self._reconstruction()
+        sweeps = _sweeps(monkeypatch)
+        eigenvalues(k)
+        unguided = list(sweeps)
+        sweeps.clear()
+        eigenvalues(k, near=np.zeros_like(x))
+        assert len(sweeps) == len(unguided) + 1
+        assert all(np.array_equal(s, t) for s, t in zip(sweeps[1:], unguided))
 
 
 # ----------------------------------------------------------------------
