@@ -20,14 +20,15 @@ brackets exactly as that many single bisection steps would.  A caller
 that already holds a guess at the spectrum, as a round trip does, can
 pass it: each bracket the guess isolates then follows the path
 bisection would take to its guess, every level counted in one sweep,
-and keeps the counted steps up to the first one the guess got wrong.
-Every step kept is backed by its own count, so the eigenvalues are the
-same to the last bit whatever the guess.  Both the
-Sturm chain and the Newton recurrence sweep their rows in fixed-size
-blocks without guards, then check each guard (the pivot clamp, the
-rescale window) once per block; a block where a guard fires is redone
-row by row from its entry state, so the results are those of the
-row-by-row recurrences to the last bit.  Node weights come from the
+and keeps the counted steps up to the first one the guess got wrong; a
+bracket so repaired then follows the path toward the midpoint it
+crossed, in one more sweep.  Every step kept is backed by its own
+count, so the eigenvalues are the same to the last bit whatever the
+guess.  Both the Sturm chain and the Newton recurrence sweep their rows
+in fixed-size blocks without guards, then check each guard (the pivot
+clamp, the rescale window) once per block; a block where a guard fires
+is redone row by row from its entry state, so the results are those of
+the row-by-row recurrences to the last bit.  Node weights come from the
 classical formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
@@ -55,10 +56,6 @@ _BISECT_ABS = 1e-13
 # width gives the same brackets.  From 171 points on (512 // 171 < 3)
 # each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
-# Column c of a multisection grid is a midpoint of the level whose
-# half-width is c & -c columns; a grid has at most _SWEEP_WIDTH + 1 columns.
-_RULER = np.arange(1, _SWEEP_WIDTH + 1) & -np.arange(1, _SWEEP_WIDTH + 1)
-_RULER.flags.writeable = False
 # Most values in one block of the Sturm and Newton recurrences: a block
 # of rows is swept before its guards are checked, once.
 _BLOCK = 1 << 15
@@ -302,34 +299,33 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) ->
     the clamp would have changed nothing.  Otherwise ``_sturm_redo`` runs
     the block again from its entry row with the clamp on every row, which
     is exactly the row-by-row chain.  The negative pivots of a block are
-    counted at once.  More than ``_BLOCK`` points are counted in chunks
-    of ``_BLOCK``, so that no block exceeds it.  Only ``eigenvalues``
+    counted at once.  The points themselves are taken in chunks of at
+    most ``_BLOCK``, so that no block exceeds it.  Only ``eigenvalues``
     calls it, under its own ``np.errstate``.
     """
-    m = xs.size
-    if m > _BLOCK:
-        return np.concatenate([_sturm_count(b, u, xs[i:i + _BLOCK], pivmin)
-                               for i in range(0, m, _BLOCK)])
+    m = min(xs.size, _BLOCK)
     rows = min(b.size, max(1, _BLOCK // m))
-    buf = np.empty((rows, m))
-    entry = np.empty(m)
-    quot = np.empty(m)
-    cnt = np.zeros(m, dtype=np.intp)
+    cnt = np.zeros(xs.size, dtype=np.intp)
     ul = u.tolist()
-    for first in range(0, b.size, rows):
-        d = buf[:b.size - first]
-        np.subtract(b[first:first + rows, None], xs, out=d)
-        prev = entry
-        for i, row in enumerate(d, first):
-            if i:
-                np.divide(ul[i - 1], prev, out=quot)
-                np.subtract(row, quot, out=row)
-            prev = row
-        if not np.min(np.abs(d)) >= pivmin:
-            np.subtract(b[first:first + rows, None], xs, out=d)
-            _sturm_redo(first, d, ul, entry, pivmin)
-        np.copyto(entry, d[-1])
-        cnt += np.count_nonzero(d < 0.0, axis=0)
+    for c in range(0, xs.size, m):
+        x = xs[c:c + m]
+        buf = np.empty((rows, x.size))
+        entry = np.empty(x.size)
+        quot = np.empty(x.size)
+        for first in range(0, b.size, rows):
+            d = buf[:b.size - first]
+            np.subtract(b[first:first + rows, None], x, out=d)
+            prev = entry
+            for i, row in enumerate(d, first):
+                if i:
+                    np.divide(ul[i - 1], prev, out=quot)
+                    np.subtract(row, quot, out=row)
+                prev = row
+            if not np.min(np.abs(d)) >= pivmin:
+                np.subtract(b[first:first + rows, None], x, out=d)
+                _sturm_redo(first, d, ul, entry, pivmin)
+            np.copyto(entry, d[-1])
+            cnt[c:c + m] += np.count_nonzero(d < 0.0, axis=0)
     return cnt
 
 
@@ -448,105 +444,103 @@ def _char_redo(first: int, q: np.ndarray, t: np.ndarray, ul: list,
 
 
 def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               ks: np.ndarray, depth: int, steps, pivmin: float) -> None:
-    """Take ``steps`` bisection steps on each bracket with one Sturm sweep, in place.
+               ks: np.ndarray, depth: int, pivmin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``depth`` bisection steps on every bracket with one Sturm sweep.
 
-    Bracket ``j`` holds eigenvalue ``ks[j]`` and takes ``steps[j] <=
-    depth`` steps (``steps`` may be one int for all).  The first
-    ``depth`` levels of its bisection tree are laid out as a grid of
-    ``2**depth + 1`` points, each midpoint rounded as ``0.5 * (left +
-    right)`` of its own parent interval.  One sweep counts at every
-    interior point, and the walk down the tree then picks the side a
-    step-by-step bisection would have picked, so the brackets are the
-    same to the last bit.  The walk runs all ``depth`` levels; a bracket
-    that stops after ``s`` of them rounds its position down to a multiple
-    of ``2**(depth - s)`` columns, which drops exactly the steps past its
-    own.
+    Bracket ``j`` holds eigenvalue ``ks[j]``.  The first ``depth`` levels of
+    its bisection tree are laid out as a grid of ``2**depth + 1`` points,
+    each midpoint rounded as ``0.5 * (left + right)`` of its own parent
+    interval.  One sweep counts at every interior point, and the walk down
+    the tree then picks the side a step-by-step bisection would have
+    picked, so the returned brackets are the same to the last bit.
     """
-    n = lo.size
+    n1 = lo.size
+    rows = np.arange(n1)
     span = 1 << depth
-    # rows padded to a power of two, so that flat indices round like columns
-    stride = 2 * span
-    grid = np.empty((n, stride))
+    grid = np.empty((n1, span + 1))
     grid[:, 0] = lo
     grid[:, span] = hi
     step = span
     while step > 1:
         half = step // 2
-        mid = grid[:, half:span:step]
-        np.add(grid[:, :span - 1:step], grid[:, step:span + 1:step], out=mid)
-        mid *= 0.5
+        grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
         step = half
-    cnt = _sturm_count(b, u, grid[:, 1:span].ravel(), pivmin).reshape(n, span - 1)
-    # a midpoint with the eigenvalue on its right moves the walk by its half-width
-    jump = np.empty((n, stride), dtype=np.intp)
-    np.multiply(cnt <= ks[:, None], _RULER[:span - 1], out=jump[:, 1:span])
-    at = np.arange(0, n * stride, stride)
-    flat = jump.ravel()
+    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel(), pivmin).reshape(n1, span - 1)
+    pos = np.zeros(n1, dtype=np.intp)
     half = span
     while half > 1:
         half //= 2
-        at += flat[at + half]
-    width = span >> steps
-    at &= -width
-    flat = grid.ravel()
-    lo[:] = flat[at]
-    hi[:] = flat[at + width]
+        pos += half * (cnt[rows, pos + half - 1] <= ks)
+    return grid[rows, pos], grid[rows, pos + 1]
 
 
 def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             rem: np.ndarray, pivmin: float) -> None:
     """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
 
-    Each multisection sweep takes as many levels of every unfinished
-    bracket as fit in ``_SWEEP_WIDTH`` points.  Sorted by levels left,
-    most first, the unfinished brackets stay a prefix, so a sweep reads
-    and writes them through slices.
+    Each multisection sweep takes the same number of levels of every
+    unfinished bracket: as many as fit in ``_SWEEP_WIDTH`` points, and
+    no more than the fewest any of them has left.  Sorted by levels
+    left, most first, the unfinished brackets stay a prefix, so a sweep
+    reads and writes them through slices.
     """
-    live = int(np.count_nonzero(rem))
-    if not live:
-        return
     order = np.argsort(-rem)
-    lo_s, hi_s, rem_s = lo[order], hi[order], rem[order]
+    lo_s, hi_s, left = lo[order], hi[order], rem[order]
+    live = int(np.count_nonzero(left))
     while live:
-        left = rem_s[:live]
         # the deepest tree whose live * (2**depth - 1) midpoints fit in one sweep
-        depth = min(max(1, (_SWEEP_WIDTH // live + 1).bit_length() - 1), int(left[0]))
-        # one int when every live bracket takes the whole tree
-        steps = depth if left[-1] >= depth else np.minimum(left, depth)
-        _multisect(b, u, lo_s[:live], hi_s[:live], order[:live], depth, steps, pivmin)
-        left -= steps
-        if not left[-1]:
-            live = int(np.count_nonzero(left))
+        depth = min(max(1, (_SWEEP_WIDTH // live + 1).bit_length() - 1), int(left[live - 1]))
+        lo_s[:live], hi_s[:live] = _multisect(b, u, lo_s[:live], hi_s[:live], order[:live],
+                                              depth, pivmin)
+        left[:live] -= depth
+        live = int(np.count_nonzero(left))
     lo[order], hi[order] = lo_s, hi_s
 
 
 def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
                hi: np.ndarray, rem: np.ndarray, pivmin: float) -> None:
-    """Bisect along the paths the guesses ``near`` predict, checking every step.
+    """Bisect toward the guesses ``near`` where they isolate an eigenvalue.
 
-    On entry every bracket is the starting one with the same ``rem``
-    levels to go.  Bracket ``k`` speculates only if the counts at
-    ``near[k] -+ _BISECT_ABS`` are ``k`` and ``k + 1``.  Its path is the
-    one bisection would take if eigenvalue ``k`` were ``near[k]``: one
+    On entry every bracket is the starting one.  Bracket ``k`` speculates
+    only if the counts at ``near[k] -+ _BISECT_ABS`` are ``k`` and
+    ``k + 1``: eigenvalue ``k`` then lies within ``_BISECT_ABS`` of its
+    guess.  ``_follow`` takes it along the path toward the guess.  A
+    bracket that path repairs has crossed a midpoint lying between the
+    guess and the eigenvalue, so within ``_BISECT_ABS`` of both, and the
+    guess now lies outside the bracket, beyond that midpoint; a second
+    ``_follow`` toward the same guess heads for that midpoint and so
+    takes nearly all the levels left.  ``lo``, ``hi`` and ``rem`` are
+    updated in place.
+    """
+    n1 = near.size
+    ks = np.arange(n1)
+    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)), pivmin)
+    ks = ks[(cnt[:n1] == ks) & (cnt[n1:] == ks + 1)]
+    for _ in range(2):
+        if not ks.size:
+            return
+        _follow(b, u, near[ks], ks, lo, hi, rem, pivmin)
+        ks = ks[rem[ks] > 0]
+
+
+def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, rem: np.ndarray, pivmin: float) -> None:
+    """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
+
+    Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
+    the one bisection would take if its eigenvalue were ``x[j]``: one
     midpoint per level, each rounded as ``0.5 * (lo + hi)`` of its parent.
     One Sturm sweep counts at every path point.  The bracket takes the
     counted side at each level up to and including the first level whose
     count contradicts the guess, so every step it keeps is the step
     bisection takes; ``lo``, ``hi`` and ``rem`` are updated in place.
     """
-    n1 = near.size
-    ks = np.arange(n1)
-    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)), pivmin)
-    ks = ks[(cnt[:n1] == ks) & (cnt[n1:] == ks + 1)]
-    if not ks.size:
-        return
     m = ks.size
-    levels = int(rem[0])
-    x = near[ks]
-    # rows: the starting ends, then the midpoint of each level
+    cols = np.arange(m)
+    levels = int(np.max(rem[ks]))
+    # rows: the ends on entry, then the midpoint of each level
     ends = np.empty((levels + 2, m))
-    ends[0], ends[1] = lo[0], hi[0]
+    ends[0], ends[1] = lo[ks], hi[ks]
     guess = np.empty((levels, m), dtype=bool)
     l, h = ends[0], ends[1]
     for mid, right in zip(ends[2:], guess):
@@ -557,16 +551,15 @@ def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
         h = np.where(right, h, mid)
     counted = _sturm_count(b, u, ends[2:].ravel(), pivmin).reshape(levels, m) <= ks
     wrong = counted != guess
-    # the last level is taken whether or not its guess was wrong
-    wrong[-1] = True
+    # a bracket's last level is taken whether or not its guess was wrong
+    wrong[rem[ks] - 1, cols] = True
     stop = np.argmax(wrong, axis=0)
     row = np.arange(2, levels + 2)[:, None]
     taken = row <= stop + 2
     # each end is the midpoint of the last taken level that moved it
-    cols = np.arange(m)
     lo[ks] = ends[np.max((taken & counted) * row, axis=0), cols]
     hi[ks] = ends[np.max((taken > counted) * row, axis=0, initial=1), cols]
-    rem[ks] = levels - 1 - stop
+    rem[ks] -= stop + 1
 
 
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
@@ -589,10 +582,12 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     eigenvalue, such as the spectrum a reconstruction was built from.
     Each bracket the guess isolates first follows the bisection path
     the guess predicts, all of it counted in one Sturm sweep, and keeps
-    the counted steps up to the first one the guess got wrong; the
-    multisection finishes the rest.  Every step kept is backed by its own
-    count, so the result, error or not, is the same to the last bit for
-    every guess; a good guess only makes it faster.
+    the counted steps up to the first one the guess got wrong.  A bracket
+    so repaired follows, in one more sweep, the path toward the midpoint
+    it crossed, which lies within the bracket width of its eigenvalue;
+    the multisection finishes the rest.  Every step kept is backed by
+    its own count, so the result, error or not, is the same to the last
+    bit for every guess; a good guess only makes it faster.
     """
     b, u = K.b, K.u
     n1 = b.size

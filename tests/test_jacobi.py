@@ -458,11 +458,26 @@ class TestGuidedEigenvalues:
         k, x = self._reconstruction()
         sweeps = _sweeps(monkeypatch)
         eigenvalues(k, near=x + 0.5 * jacobi._BISECT_ABS)
-        # a third sweep finishes the repaired brackets, which are already
+        # later sweeps finish the repaired brackets, which are already
         # within a few bracket widths of the eigenvalues
         assert len(sweeps) > 2
         later = np.concatenate(sweeps[2:])
         assert np.max(np.min(np.abs(later[:, None] - x), axis=1)) <= 4 * jacobi._BISECT_ABS
+
+    def test_point_at_the_first_midpoint_is_followed_again(self, monkeypatch):
+        # a symmetric spectrum: the middle point is the starting interval's
+        # midpoint, and its guess lies on the wrong side of it at level 0
+        x = np.linspace(-1.0, 1.0, 11)
+        k = reconstruct_half_lattice(Spectrum(x))
+        want = eigenvalues(k).values
+        sweeps = _sweeps(monkeypatch)
+        assert eigenvalues(k, near=x).values.tobytes() == want.tobytes()
+        # the certify sweep, every bracket's path, then one more path for the
+        # middle bracket alone, toward the midpoint it crossed
+        assert len(sweeps) == 3
+        assert sweeps[2].size < sweeps[1].size // x.size
+        assert np.all(np.diff(np.abs(sweeps[2])) < 0.0)
+        assert abs(sweeps[2][-1]) <= jacobi._BISECT_ABS
 
     def test_speculative_sweep_larger_than_one_block(self, monkeypatch):
         # 48 path points for each of 700 brackets: more than one block holds
