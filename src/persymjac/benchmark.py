@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import statistics
 import time
 import warnings
@@ -90,10 +91,15 @@ _FAMILY_KINDS = ("uniform-linear", "symmetric-linear", "quadratic", "random-gap"
 
 
 def _number(value, name: str, kind=float):
-    """``kind(value)``; a value that is not a number is a ``ValueError``."""
+    """``kind(value)``; a value that is not a number (strings and booleans
+    included), or for ``int`` not a whole number, is a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
     try:
         return kind(value)
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"{name} must be a number, not {value!r}") from exc
 
 
@@ -119,6 +125,8 @@ class SpectrumFamily:
             raise ValueError(f"unknown spectrum family {self.kind!r}")
         if self.n < 1:
             raise ValueError("spectrum families require N >= 1")
+        for name, value in self.params.items():
+            _number(value, name, int if name == "seed" else float)
 
     def param(self, name: str, default: float) -> float:
         return _number(self.params.get(name, default), name)

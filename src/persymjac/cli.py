@@ -120,6 +120,8 @@ def _cmd_deform(args) -> int:
     ``deform_closed_form`` has just checked that the input is
     persymmetric (within ``deformation.DEFORM_TOL``).
     """
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be a finite number, not {args.theta}")
     jac = _load_matrix(args.matrix)
     tilted = deform_closed_form(jac, args.theta)
     doc = {"n": tilted.n, "b": _floats(tilted.b), "a": _floats(tilted.a),

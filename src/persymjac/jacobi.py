@@ -26,10 +26,12 @@ crossed, in one more sweep.  Every step kept is backed by its own
 count, so the eigenvalues are the same to the last bit whatever the
 guess.  Both the Sturm chain and the Newton recurrence sweep their rows
 in fixed-size blocks without guards, then check each guard (the pivot
-clamp, the rescale window) once per block; a block where a guard fires
-is redone row by row from its entry state, so the results are those of
-the row-by-row recurrences to the last bit.  Node weights come from the
-classical formulas
+clamp, the rescale window) once per block.  Each recurrence writes its
+row once: a block where a guard fires runs the same rows again from its
+entry state with the guard applied on every row (for the Newton
+recurrence, only on the points the window caught), so the results are
+those of the row-by-row recurrences to the last bit.  Node weights come
+from the classical formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
     w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)       (persymmetric)
@@ -59,6 +61,8 @@ _SWEEP_WIDTH = 512
 # Most values in one block of the Sturm and Newton recurrences: a block
 # of rows is swept before its guards are checked, once.
 _BLOCK = 1 << 15
+# The Newton recurrence rescales a point whose carriers leave this window.
+_WINDOW_LO, _WINDOW_HI = 1e-120, 1e120
 # Relative gap below which two spectral points count as duplicates.
 _DUP_REL = 1e-12
 
@@ -283,69 +287,63 @@ def recurrence_polynomials(K: MonicJacobi) -> OrthoPolySystem:
     return OrthoPolySystem(tuple(polys), K.norms())
 
 
-def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray, pivmin: float) -> np.ndarray:
+def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each entry of ``xs``.
 
     Runs the Sturm chain of the recurrence in ratio (pivot) form
     ``d_i = (b_i - x) - u_i / d_{i-1}``; the sign changes of the monic
     chain ``P_0(x)..P_{N+1}(x)`` are exactly the negative pivots.  A pivot
-    smaller than ``pivmin`` in magnitude is replaced by ``-pivmin``.
+    smaller than ``pivmin = 1e-292 * max(1, max u)`` in magnitude is
+    replaced by ``-pivmin``.
 
     At small N the cost is the number of NumPy calls per row, not the
     arithmetic, so the chain runs through the rows in blocks of at most
-    ``_BLOCK`` values.  One call forms the block's ``b_i - x``, each row
-    then costs a divide and a subtract, and the pivot guard is checked
-    once for the whole block: when every ``|d_i| >= pivmin`` (NaN fails)
-    the clamp would have changed nothing.  Otherwise ``_sturm_redo`` runs
-    the block again from its entry row with the clamp on every row, which
-    is exactly the row-by-row chain.  The negative pivots of a block are
-    counted at once.  The points themselves are taken in chunks of at
-    most ``_BLOCK``, so that no block exceeds it.  Only ``eigenvalues``
-    calls it, under its own ``np.errstate``.
+    ``_BLOCK`` values.  One call forms the block's ``b_i - x``, and
+    ``_pivot_rows`` then costs a divide and a subtract per row.  The pivot
+    guard is checked once for the whole block: when every
+    ``|d_i| >= pivmin`` (NaN fails) the clamp would have changed nothing.
+    Otherwise the block's rows run again from its entry pivot with the
+    clamp on every row, which is exactly the row-by-row chain.  The
+    negative pivots of a block are counted at once.  The points
+    themselves are taken in chunks of at most ``_BLOCK``, so that no block
+    exceeds it.  Only ``eigenvalues`` calls it, under its own
+    ``np.errstate``.
     """
     m = min(xs.size, _BLOCK)
     rows = min(b.size, max(1, _BLOCK // m))
     cnt = np.zeros(xs.size, dtype=np.intp)
     ul = u.tolist()
+    pivmin = 1e-292 * max([1.0, *ul])
     for c in range(0, xs.size, m):
         x = xs[c:c + m]
         buf = np.empty((rows, x.size))
         entry = np.empty(x.size)
-        quot = np.empty(x.size)
         for first in range(0, b.size, rows):
             d = buf[:b.size - first]
             np.subtract(b[first:first + rows, None], x, out=d)
-            prev = entry
-            for i, row in enumerate(d, first):
-                if i:
-                    np.divide(ul[i - 1], prev, out=quot)
-                    np.subtract(row, quot, out=row)
-                prev = row
+            _pivot_rows(first, d, ul, entry)
             if not np.min(np.abs(d)) >= pivmin:
                 np.subtract(b[first:first + rows, None], x, out=d)
-                _sturm_redo(first, d, ul, entry, pivmin)
+                _pivot_rows(first, d, ul, entry, clamp=pivmin)
             np.copyto(entry, d[-1])
             cnt[c:c + m] += np.count_nonzero(d < 0.0, axis=0)
     return cnt
 
 
-def _sturm_redo(first: int, d: np.ndarray, ul: list, entry: np.ndarray, pivmin: float) -> None:
-    """Pivots of the rows ``first..`` clamped row by row, in place.
+def _pivot_rows(first: int, d: np.ndarray, ul: list, prev: np.ndarray, clamp=None) -> None:
+    """Pivots of the Sturm chain's rows ``first..``, in place.
 
-    ``d`` holds ``b_i - x`` of those rows on entry and ``entry`` the pivot
-    of the row before them.
+    ``d`` holds ``b_i - x`` of those rows on entry and ``prev`` the pivot
+    of the row before them.  Given ``clamp``, each row's pivots smaller
+    than it in magnitude are replaced by ``-clamp`` before the next row.
     """
-    quot = np.empty_like(entry)
-    mag = np.empty_like(entry)
-    tiny = np.empty(entry.shape, dtype=bool)
-    prev = entry
+    quot = np.empty_like(prev)
     for i, row in enumerate(d, first):
         if i:
             np.divide(ul[i - 1], prev, out=quot)
             np.subtract(row, quot, out=row)
-        np.abs(row, out=mag)
-        np.less(mag, pivmin, out=tiny)
-        np.copyto(row, -pivmin, where=tiny)
+        if clamp is not None:
+            np.copyto(row, -clamp, where=np.abs(row) < clamp)
         prev = row
 
 
@@ -353,13 +351,13 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     """Evaluate ``P_N``, ``P_{N+1}`` and ``P'_{N+1}`` at each point.
 
     All four recurrence carriers are rescaled jointly per point whenever
-    their magnitude leaves a safe window, so only a common positive
-    factor is lost; the accumulated log-scale is returned alongside.
+    their magnitude leaves the window ``[_WINDOW_LO, _WINDOW_HI]``, so only
+    a common positive factor is lost; the accumulated log-scale is
+    returned alongside.
 
     The recurrence runs through the rows in blocks of at most ``_BLOCK``
-    values.  One call forms the block's ``x - b_i``; each row then
-    carries ``(P, P')`` as one pair and costs four calls, with the
-    roundings of ``t P - u P_prev`` and ``P + t P' - u P'_prev``.  The
+    values.  One call forms the block's ``x - b_i``, and ``_pair_rows``
+    then steps every point through the block's rows unguarded.  The
     window is tested once per block, over the carriers of all its rows.
     The test of a row reads the magnitude ``max(|p|, |dp|)`` of the row
     and of the one before it; scaling by a positive factor commutes with
@@ -367,11 +365,11 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     from a rescaled row.  The block test fires when some row's test
     would, and also on a non-finite carrier.  A rescale acts on each
     point alone, so only the points whose magnitude left the window (or
-    is not finite) in some row of the block go to ``_char_redo``: it runs
-    the block again for them from its entry rows, testing and rescaling
-    row by row, which is exactly the row-by-row recurrence, its
-    floating-point warnings included.  No row would have rescaled any
-    other point, so their unguarded values are the recurrence's.
+    is not finite) in some row of the block run the block's rows again,
+    from its entry rows, testing and rescaling row by row: that is
+    exactly the row-by-row recurrence, its floating-point warnings
+    included.  No row would have rescaled any other point, so their
+    unguarded values are the recurrence's.
     """
     xs = np.asarray(xs, dtype=float)
     m = xs.size
@@ -381,7 +379,6 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
     q[0, 0], q[0, 1], q[1, 1] = 1.0, 0.0, 1.0
     np.subtract(xs, b[0], out=q[1, 0])
     tb = np.empty((rows, m))
-    tmp = np.empty((2, m))
     magb = np.empty((rows + 1, 2, m))
     topb = np.empty((rows + 1, m))
     logscale = np.zeros_like(xs)
@@ -391,60 +388,60 @@ def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
         k = t.shape[0]
         np.subtract(xs, b[first:first + rows, None], out=t)
         with np.errstate(all="ignore"):
-            for j in range(k):
-                prev, cur, nxt = q[j], q[j + 1], q[j + 2]
-                np.multiply(t[j], cur, out=nxt)
-                np.add(cur[0], nxt[1], out=nxt[1])
-                np.multiply(ul[first + j - 1], prev, out=tmp)
-                np.subtract(nxt, tmp, out=nxt)
+            _pair_rows(first, q, t, ul)
             mag = np.abs(q[1:k + 2], out=magb[:k + 1])
             top = np.maximum(mag[:, 0], mag[:, 1], out=topb[:k + 1])
             # the test of a row reads its own magnitude and its previous row's
             win = np.maximum(top[1:], top[:-1], out=mag[:k, 0])
-            clean = np.max(win) <= 1e120 and np.min(win) >= 1e-120
-        if clean:
-            q[:2] = q[k:k + 2]
-        else:
-            cols = np.flatnonzero(~np.all((win >= 1e-120) & (win <= 1e120), axis=0))
-            sub = q[:2, :, cols]
-            logscale[cols] = _char_redo(first, sub, t[:, cols], ul, logscale[cols])
-            q[:2] = q[k:k + 2]
-            q[:2, :, cols] = sub
+            clean = np.max(win) <= _WINDOW_HI and np.min(win) >= _WINDOW_LO
+        if not clean:
+            cols = np.flatnonzero(~np.all((win >= _WINDOW_LO) & (win <= _WINDOW_HI), axis=0))
+            # contiguous copies: a row of q[..., cols] would be strided
+            sub = q[:k + 2].take(cols, axis=2)
+            logscale[cols] = _pair_rows(first, sub, t.take(cols, axis=1), ul,
+                                        logscale=logscale[cols])
+            q[k:k + 2, :, cols] = sub[k:]
+        q[:2] = q[k:k + 2]
     return q[0, 0], q[1, 0], q[1, 1], logscale
 
 
-def _char_redo(first: int, q: np.ndarray, t: np.ndarray, ul: list,
-               logscale: np.ndarray) -> np.ndarray:
-    """Rows ``first..`` of ``_char_eval`` tested and rescaled row by row.
+def _pair_rows(first: int, q: np.ndarray, t: np.ndarray, ul: list, logscale=None):
+    """Rows ``first..`` of ``_char_eval``'s recurrence, one per row of ``t``.
 
-    ``q[0]`` and ``q[1]`` hold ``(P, P')`` of the two rows before them and
-    ``t`` their ``x - b_i``; the last two rows are left in ``q[0]`` and
-    ``q[1]``, and the updated log-scale is returned.
+    ``t`` holds the rows' ``x - b_i``, ``q[0]`` and ``q[1]`` hold
+    ``(P, P')`` of the two rows before them, and row ``first + j`` lands
+    in ``q[j + 2]``.  Each row carries ``(P, P')`` as one pair in four
+    calls, with the roundings of ``t P - u P_prev`` and
+    ``P + t P' - u P'_prev``.  Given the points' ``logscale``, each row is
+    then tested, the points whose magnitude left the window are rescaled
+    together with the row before, and the updated log-scale is returned.
     """
-    (p_prev, dp_prev), (p, dp) = q[0], q[1]
-    top_prev = np.maximum(np.abs(p), np.abs(dp))
-    for ti, ui in zip(t, ul[first - 1:]):
-        p_next = ti * p - ui * p_prev
-        dp_next = p + ti * dp - ui * dp_prev
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-        top = np.maximum(np.abs(p), np.abs(dp))
-        m = np.maximum(top, top_prev)
+    tmp = np.empty(q.shape[1:])
+    if logscale is not None:
+        top = np.maximum(*np.abs(q[1]))
+    for j, tj in enumerate(t):
+        prev, cur, nxt = q[j], q[j + 1], q[j + 2]
+        np.multiply(tj, cur, out=nxt)
+        np.add(cur[0], nxt[1], out=nxt[1])
+        np.multiply(ul[first + j - 1], prev, out=tmp)
+        np.subtract(nxt, tmp, out=nxt)
+        if logscale is None:
+            continue
+        top_prev, top = top, np.maximum(*np.abs(nxt))
+        mag = np.maximum(top, top_prev)
         # fmax/fmin skip NaN, which the elementwise window test never flags
-        if np.fmax.reduce(m) > 1e120 or np.fmin.reduce(m) < 1e-120:
-            stretch = (m > 1e120) | ((m > 0) & (m < 1e-120))
+        if np.fmax.reduce(mag) > _WINDOW_HI or np.fmin.reduce(mag) < _WINDOW_LO:
+            stretch = (mag > _WINDOW_HI) | ((mag > 0.0) & (mag < _WINDOW_LO))
             if np.any(stretch):
-                s = np.where(stretch, 1.0 / m, 1.0)
-                p_prev, p, dp_prev, dp = p_prev * s, p * s, dp_prev * s, dp * s
-                top = top * s
+                s = np.where(stretch, 1.0 / mag, 1.0)
+                q[j + 1:j + 3] *= s
+                top *= s
                 logscale = logscale - np.log(s)
-        top_prev = top
-    q[0, 0], q[0, 1] = p_prev, dp_prev
-    q[1, 0], q[1, 1] = p, dp
     return logscale
 
 
 def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               ks: np.ndarray, depth: int, pivmin: float) -> tuple[np.ndarray, np.ndarray]:
+               ks: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Take ``depth`` bisection steps on every bracket with one Sturm sweep.
 
     Bracket ``j`` holds eigenvalue ``ks[j]``.  The first ``depth`` levels of
@@ -465,7 +462,7 @@ def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         half = step // 2
         grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
         step = half
-    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel(), pivmin).reshape(n1, span - 1)
+    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel()).reshape(n1, span - 1)
     pos = np.zeros(n1, dtype=np.intp)
     half = span
     while half > 1:
@@ -475,7 +472,7 @@ def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            rem: np.ndarray, pivmin: float) -> None:
+            rem: np.ndarray) -> None:
     """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
 
     Each multisection sweep takes the same number of levels of every
@@ -491,14 +488,14 @@ def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         # the deepest tree whose live * (2**depth - 1) midpoints fit in one sweep
         depth = min(max(1, (_SWEEP_WIDTH // live + 1).bit_length() - 1), int(left[live - 1]))
         lo_s[:live], hi_s[:live] = _multisect(b, u, lo_s[:live], hi_s[:live], order[:live],
-                                              depth, pivmin)
+                                              depth)
         left[:live] -= depth
         live = int(np.count_nonzero(left))
     lo[order], hi[order] = lo_s, hi_s
 
 
 def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, rem: np.ndarray, pivmin: float) -> None:
+               hi: np.ndarray, rem: np.ndarray) -> None:
     """Bisect toward the guesses ``near`` where they isolate an eigenvalue.
 
     On entry every bracket is the starting one.  Bracket ``k`` speculates
@@ -514,17 +511,17 @@ def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
     """
     n1 = near.size
     ks = np.arange(n1)
-    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)), pivmin)
+    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)))
     ks = ks[(cnt[:n1] == ks) & (cnt[n1:] == ks + 1)]
     for _ in range(2):
         if not ks.size:
             return
-        _follow(b, u, near[ks], ks, lo, hi, rem, pivmin)
+        _follow(b, u, near[ks], ks, lo, hi, rem)
         ks = ks[rem[ks] > 0]
 
 
 def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, rem: np.ndarray, pivmin: float) -> None:
+            hi: np.ndarray, rem: np.ndarray) -> None:
     """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
 
     Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
@@ -549,7 +546,7 @@ def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.
         np.less_equal(mid, x, out=right)
         l = np.where(right, mid, l)
         h = np.where(right, h, mid)
-    counted = _sturm_count(b, u, ends[2:].ravel(), pivmin).reshape(levels, m) <= ks
+    counted = _sturm_count(b, u, ends[2:].ravel()).reshape(levels, m) <= ks
     wrong = counted != guess
     # a bracket's last level is taken whether or not its guess was wrong
     wrong[rem[ks] - 1, cols] = True
@@ -600,7 +597,6 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     reach = 2.0 * float(np.sum(np.sqrt(u)))
     lo0 = float(np.min(b)) - reach
     hi0 = float(np.max(b)) + reach
-    pivmin = 1e-292 * max(1.0, float(np.max(u)))
     lo = np.full(n1, lo0)
     hi = np.full(n1, hi0)
     # capped before int(): a span past double range counts inf levels
@@ -608,8 +604,8 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     rem = np.full(n1, levels)
     with np.errstate(all="ignore"):
         if near is not None:
-            _speculate(b, u, near, lo, hi, rem, pivmin)
-        _bisect(b, u, lo, hi, rem, pivmin)
+            _speculate(b, u, near, lo, hi, rem)
+        _bisect(b, u, lo, hi, rem)
         lam = 0.5 * (lo + hi)
         for _ in range(5):
             _, val, dval, _ = _char_eval(b, u, lam)

@@ -263,6 +263,19 @@ class TestConfig:
             config_from_dict({"families": [], "algorithms": ["qr"]})
         with pytest.raises(ValueError):
             config_from_dict({"families": [], "reps": 0})
+        # strings, booleans and fractional counts or seeds are not numbers here
+        fam = {"kind": "random-gap", "N": 3}
+        for field, value in [("N", "3"), ("N", True), ("N", 3.7), ("reps", True),
+                             ("reps", 2.5), ("step", True), ("seed", 1.9), ("seed", "1"),
+                             ("min_gap", None)]:
+            doc = {"families": [{**fam, field: value}]}
+            if field == "reps":
+                doc = {"families": [fam], "reps": value}
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                config_from_dict(doc)
+        # integral values written as floats are integers
+        config = config_from_dict({"families": [{**fam, "N": 3.0, "seed": 2.0}], "reps": 2.0})
+        assert (config.families[0].n, config.reps) == (3, 2)
 
 
 # ----------------------------------------------------------------------

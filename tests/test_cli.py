@@ -189,6 +189,17 @@ class TestExitCodes:
         spec = _write(tmp_path, "s.json", SYM4)
         assert main([command, spec, "--tolerance", "inf"]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_an_input_error(self, tmp_path, capsys, value):
+        mat = _write(tmp_path, "m.json", {"n": 2, "b": [0, 0, 0], "a": [1, 1]})
+        assert main(["deform", mat, f"--theta={value}", "--weights"]) == 2
+        assert capsys.readouterr().err == f"error: --theta must be a finite number, not {value}\n"
+
+    def test_large_finite_theta_is_valid(self, tmp_path, capsys):
+        mat = _write(tmp_path, "m.json", {"n": 2, "b": [0, 0, 0], "a": [1, 1]})
+        assert main(["deform", mat, "--theta", "1e300", "--weights"]) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 1e300
+
     def test_deform_identity_angle(self, tmp_path, capsys):
         mat = _write(tmp_path, "m.json", {"n": 2, "b": [1, 2, 1], "a": [0.5, 0.5]})
         assert main(["deform", mat]) == 0
@@ -266,6 +277,12 @@ class TestExitCodes:
         assert main(["bench", "--config", str(tmp_path / "absent.json")]) == 2
         bad = _write(tmp_path, "c.json", {"families": [], "reps": 0})
         assert main(["bench", "--config", str(bad)]) == 2
+
+    def test_bench_config_with_a_fractional_n_is_an_input_error(self, tmp_path, capsys):
+        # N = 3.7 used to run as N = 3
+        bad = _write(tmp_path, "c.json", {"families": [{"kind": "uniform-linear", "N": 3.7}]})
+        assert main(["bench", "--config", bad]) == 2
+        assert capsys.readouterr().err == "error: N must be an integer, not 3.7\n"
 
     def test_bench_unwritable_output(self, tmp_path):
         config = _write(tmp_path, "c.json", {"families": []})

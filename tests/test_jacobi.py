@@ -327,6 +327,29 @@ def _late_rescale() -> MonicJacobi:
     return MonicJacobi(np.zeros(200), np.full(199, 0.0025))
 
 
+def _zero_pivots_in_two_blocks() -> MonicJacobi:
+    """301 points whose first Sturm sweep, at ``x = 0`` exactly as in
+    ``_late_zero_pivot``, meets exactly zero pivots in two blocks of rows
+    (the sweep's blocks start at rows 0, 108 and 216).  The pivots
+    alternate ``+1, -1, ...`` from ``b_0 = 1``; ``b_150 = -1`` cancels row
+    150's, whose clamped ``-pivmin`` makes row 151's ``1e292``; ``b_152 = 1``
+    then restarts the alternation at ``+1``, and ``b_N = -1`` cancels the
+    last pivot."""
+    b = np.zeros(301)
+    b[0], b[150], b[152], b[300] = 1.0, -1.0, 1.0, -1.0
+    return MonicJacobi(b, np.ones(300))
+
+
+def _far_scale_blocks() -> MonicJacobi:
+    """300 random points scaled by 1e-6: the Newton recurrence runs in six
+    blocks of rows, and each point leaves the rescale window about every
+    20 rows, so every block is redone on most of its points."""
+    rng = np.random.default_rng(3012)
+    b = rng.uniform(-1.0, 1.0, 300) * 1e-6
+    a = rng.uniform(0.3, 1.2, 299) * 1e-6
+    return MonicJacobi(b, a * a)
+
+
 def _forward_family():
     rng = np.random.default_rng(3010)
     yield MonicJacobi([0.7], [])
@@ -344,6 +367,23 @@ def _forward_family():
         yield _equally_spaced(n, float(rng.uniform(-0.5, 0.5)))
     yield _late_zero_pivot()
     yield _late_rescale()
+    yield _zero_pivots_in_two_blocks()
+    yield _far_scale_blocks()
+
+
+def _guarded_starts(monkeypatch, rows: str) -> list[int]:
+    """The first row of every guarded pass of ``jacobi.<rows>`` from here on:
+    ``_pivot_rows`` given a clamp, ``_pair_rows`` given a log-scale."""
+    starts = []
+    inner = getattr(jacobi, rows)
+
+    def spy(first, *args, **guard):
+        if guard:
+            starts.append(first)
+        return inner(first, *args, **guard)
+
+    monkeypatch.setattr(jacobi, rows, spy)
+    return starts
 
 
 class TestForwardSolverBits:
@@ -362,22 +402,51 @@ class TestForwardSolverBits:
                 assert weights_general(k, got).w.tobytes() == want_w.tobytes(), k.n
         assert rescaled >= 3
 
-    @pytest.mark.parametrize("make, redo, first_block", [
-        (_late_zero_pivot, "_sturm_redo", 0), (_late_rescale, "_char_redo", 1)])
-    def test_guard_first_fires_past_the_first_block(self, monkeypatch, make, redo, first_block):
-        # the guarded redo runs, and only on later blocks: the bits above
-        # then cover a redo that starts from the previous block's last row
-        starts = []
-        inner = getattr(jacobi, redo)
-
-        def spy(first, *args):
-            starts.append(first)
-            return inner(first, *args)
-
-        monkeypatch.setattr(jacobi, redo, spy)
+    @pytest.mark.parametrize("make, rows, first_block", [
+        (_late_zero_pivot, "_pivot_rows", 0), (_late_rescale, "_pair_rows", 1)])
+    def test_guard_first_fires_past_the_first_block(self, monkeypatch, make, rows, first_block):
+        # the guarded pass runs, and only on later blocks: the bits above
+        # then cover a guarded pass that starts from the previous block's last row
+        starts = _guarded_starts(monkeypatch, rows)
         k = make()
         weights_general(k, eigenvalues(k))
         assert starts and min(starts) > first_block
+
+    @pytest.mark.parametrize("make, rows", [
+        (_zero_pivots_in_two_blocks, "_pivot_rows"), (_far_scale_blocks, "_pair_rows")])
+    def test_guarded_pass_runs_in_several_blocks(self, monkeypatch, make, rows):
+        starts = _guarded_starts(monkeypatch, rows)
+        eigenvalues(make())
+        assert len(set(starts)) >= 2
+
+    def test_far_scale_weights_warn_as_the_reference(self):
+        # persymmetric draws scaled by 1e100-1e120 on their dense spectra:
+        # where the window fires, the guarded rows run outside np.errstate
+        rng = np.random.default_rng(3)
+        warned = 0
+        for _ in range(300):
+            scale = rng.uniform(1e100, 1e120)
+            n1 = int(rng.integers(1, 25))
+            b = _palindrome(rng, n1, -1.0, 1.0) * scale
+            a = _palindrome(rng, n1 - 1, 0.05, 1.0) * scale
+            k = SymmetricJacobi(b, a).to_monic()
+            try:
+                x = Spectrum.from_values(np.linalg.eigvalsh(SymmetricJacobi(b, a).dense()))
+            except ValueError:
+                continue
+            with warnings.catch_warnings(record=True) as want:
+                warnings.simplefilter("always")
+                want_w, _ = _ref_weights(k, x.values)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                if want_w is None:
+                    with pytest.raises(NumericalError):
+                        weights_general(k, x)
+                else:
+                    assert weights_general(k, x).w.tobytes() == want_w.tobytes(), n1
+            assert {str(w.message) for w in got} == {str(w.message) for w in want}, n1
+            warned += bool(got)
+        assert warned >= 5
 
     def test_near_degenerate_pair_fails_with_the_same_message(self):
         # Wilkinson's W_31^+: its top two eigenvalues agree in double precision
@@ -404,9 +473,9 @@ def _sweeps(monkeypatch) -> list[np.ndarray]:
     seen = []
     inner = jacobi._sturm_count
 
-    def spy(b, u, xs, pivmin):
+    def spy(b, u, xs):
         seen.append(xs.copy())
-        return inner(b, u, xs, pivmin)
+        return inner(b, u, xs)
 
     monkeypatch.setattr(jacobi, "_sturm_count", spy)
     return seen
