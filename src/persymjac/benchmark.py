@@ -87,7 +87,14 @@ class SplitMix64:
 # spectrum families
 # ----------------------------------------------------------------------
 
-_FAMILY_KINDS = ("uniform-linear", "symmetric-linear", "quadratic", "random-gap")
+#: each family kind's parameters and their defaults; an int default
+#: makes its parameter a whole number
+_FAMILIES = {
+    "uniform-linear": {"offset": 0.0, "step": 1.0},
+    "symmetric-linear": {"step": 1.0},
+    "quadratic": {"offset": 0.0, "step": 1.0},
+    "random-gap": {"seed": 0, "min_gap": 0.05},
+}
 
 
 def _number(value, name: str, kind=float):
@@ -107,7 +114,8 @@ def _number(value, name: str, kind=float):
 class SpectrumFamily:
     """A named recipe for a deterministic spectrum of size ``N + 1``.
 
-    kinds and their parameters (all optional, with defaults):
+    kinds and their parameters (all optional, with the defaults of
+    ``_FAMILIES``; any other parameter is a ``ValueError``):
 
     * ``uniform-linear``: ``x_s = offset + s * step`` (offset 0, step 1)
     * ``symmetric-linear``: ``x_s = (s - N/2) * step`` (step 1)
@@ -121,29 +129,35 @@ class SpectrumFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown spectrum family {self.kind!r}")
         if self.n < 1:
             raise ValueError("spectrum families require N >= 1")
-        for name, value in self.params.items():
-            _number(value, name, int if name == "seed" else float)
+        known = _FAMILIES[self.kind]
+        for name in self.params:
+            if name not in known:
+                raise ValueError(f"unknown parameter {name!r} for family {self.kind!r}; "
+                                 f"its parameters are {', '.join(known)}")
+            self.param(name)
 
-    def param(self, name: str, default: float) -> float:
-        return _number(self.params.get(name, default), name)
+    def param(self, name: str) -> float:
+        """The parameter's value, or its default for this kind."""
+        default = _FAMILIES[self.kind][name]
+        return _number(self.params.get(name, default), name, type(default))
 
 
 def generate_spectrum(fam: SpectrumFamily) -> Spectrum:
     """Materialize the family: strictly increasing, deterministic."""
     s = np.arange(fam.n + 1, dtype=float)
     if fam.kind == "uniform-linear":
-        x = fam.param("offset", 0.0) + s * fam.param("step", 1.0)
+        x = fam.param("offset") + s * fam.param("step")
     elif fam.kind == "symmetric-linear":
-        x = (s - 0.5 * fam.n) * fam.param("step", 1.0)
+        x = (s - 0.5 * fam.n) * fam.param("step")
     elif fam.kind == "quadratic":
-        x = fam.param("offset", 0.0) + fam.param("step", 1.0) * s * s
+        x = fam.param("offset") + fam.param("step") * s * s
     else:
-        rng = SplitMix64(_number(fam.params.get("seed", 0), "seed", int))
-        min_gap = fam.param("min_gap", 0.05)
+        rng = SplitMix64(fam.param("seed"))
+        min_gap = fam.param("min_gap")
         if min_gap <= 0:
             raise ValueError("random-gap families require a positive min_gap")
         gaps = np.array([min_gap + rng.next_float() for _ in range(fam.n)])
@@ -161,10 +175,10 @@ def linear_ground_truth(fam: SpectrumFamily) -> MonicJacobi | None:
     form.
     """
     if fam.kind == "uniform-linear":
-        h = fam.param("step", 1.0)
-        center = fam.param("offset", 0.0) + 0.5 * fam.n * h
+        h = fam.param("step")
+        center = fam.param("offset") + 0.5 * fam.n * h
     elif fam.kind == "symmetric-linear":
-        h = fam.param("step", 1.0)
+        h = fam.param("step")
         center = 0.0
     else:
         return None

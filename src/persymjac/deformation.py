@@ -140,13 +140,22 @@ def deformed_weights(table: WeightTable, theta: float) -> WeightTable:
 
     Total mass is conserved for every ``N >= 1`` because
     ``sum_s (-1)^{N+s} w_s = sum_s phi_s(0) phi_s(N) = 0``.  At ``N = 0``
-    the involution is ``[1]`` and the table is returned unchanged.
+    the involution is ``[1]`` and the table is returned unchanged.  A
+    table whose two mirror classes carry unequal mass, as computed
+    weights may, loses its unit mass under the tilt, which raises
+    ``NumericalError``.
     """
     n = len(table.w) - 1
     if n == 0:
         return table
+    signs = _mirror_signs(n)
     tilt = np.sin(2.0 * theta)
-    return WeightTable(table.points, table.w * (1.0 + _mirror_signs(n) * tilt))
+    try:
+        return WeightTable(table.points, table.w * (1.0 + signs * tilt))
+    except ValueError as exc:  # the points are valid, so the mass failed
+        raise NumericalError(
+            f"deformed weights lose their unit mass: the two mirror classes of the "
+            f"weights differ in mass by {float(np.sum(signs * table.w)):.3g}") from exc
 
 
 def deformed_polynomials(system: OrthoPolySystem, theta: float) -> tuple[Polynomial, ...]:

@@ -14,9 +14,12 @@ when it equals its reflection through the anti-diagonal:
 Eigenvalues are computed without forming a dense matrix: bisection on
 Sturm counts of the recurrence, followed by a short Newton polish.  The
 bisection runs as a multisection sweep: one pass of the recurrence
-counts at the midpoints of the next several levels of every bracket's
-bisection tree, and a walk down the tree with those counts narrows the
-brackets exactly as that many single bisection steps would.  A caller
+counts at the midpoints of the next several levels of every unfinished
+bracket's bisection tree.  The computed count rises with ``x``, so each
+bracket finds the leaf that bisection would reach by rank alone, as the
+number of its points that count no more eigenvalues below them than its
+own index, and takes as many of those levels as it has left: exactly
+the brackets that many single bisection steps would give.  A caller
 that already holds a guess at the spectrum, as a round trip does, can
 pass it: each bracket the guess isolates then follows the path
 bisection would take to its guess, every level counted in one sweep,
@@ -296,6 +299,13 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
     smaller than ``pivmin = 1e-292 * max(1, max u)`` in magnitude is
     replaced by ``-pivmin``.
 
+    The computed count never decreases as ``x`` grows.  Every step of
+    the pivot recurrence, the ``-pivmin`` clamp included, is monotone
+    under round-to-nearest, and that makes the count of negative pivots
+    monotone in ``x`` (Kahan 1966; Demmel, Dhillon & Ren, *ETNA* 3,
+    1995).  ``_bisect`` reads its brackets off by count rank on the
+    strength of it.
+
     At small N the cost is the number of NumPy calls per row, not the
     arithmetic, so the chain runs through the rows in blocks of at most
     ``_BLOCK`` values.  One call forms the block's ``b_i - x``, and
@@ -440,58 +450,44 @@ def _pair_rows(first: int, q: np.ndarray, t: np.ndarray, ul: list, logscale=None
     return logscale
 
 
-def _multisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               ks: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Take ``depth`` bisection steps on every bracket with one Sturm sweep.
-
-    Bracket ``j`` holds eigenvalue ``ks[j]``.  The first ``depth`` levels of
-    its bisection tree are laid out as a grid of ``2**depth + 1`` points,
-    each midpoint rounded as ``0.5 * (left + right)`` of its own parent
-    interval.  One sweep counts at every interior point, and the walk down
-    the tree then picks the side a step-by-step bisection would have
-    picked, so the returned brackets are the same to the last bit.
-    """
-    n1 = lo.size
-    rows = np.arange(n1)
-    span = 1 << depth
-    grid = np.empty((n1, span + 1))
-    grid[:, 0] = lo
-    grid[:, span] = hi
-    step = span
-    while step > 1:
-        half = step // 2
-        grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
-        step = half
-    cnt = _sturm_count(b, u, grid[:, 1:-1].ravel()).reshape(n1, span - 1)
-    pos = np.zeros(n1, dtype=np.intp)
-    half = span
-    while half > 1:
-        half //= 2
-        pos += half * (cnt[rows, pos + half - 1] <= ks)
-    return grid[rows, pos], grid[rows, pos + 1]
-
-
 def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             rem: np.ndarray) -> None:
     """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
 
-    Each multisection sweep takes the same number of levels of every
-    unfinished bracket: as many as fit in ``_SWEEP_WIDTH`` points, and
-    no more than the fewest any of them has left.  Sorted by levels
-    left, most first, the unfinished brackets stay a prefix, so a sweep
-    reads and writes them through slices.
+    Bracket ``k`` holds eigenvalue ``k``.  Each multisection sweep lays
+    out the first ``depth`` levels of every unfinished bracket's
+    bisection tree as a row of ``2**depth + 1`` points, each midpoint
+    rounded as ``0.5 * (left + right)`` of its own parent interval:
+    as many levels as fit in ``_SWEEP_WIDTH`` points, and no more than
+    the most any bracket has left.  One Sturm sweep counts at every
+    interior point.  The counts rise along a row, so the leaf that
+    step-by-step bisection reaches is the number of the row's points
+    that count at most ``k`` eigenvalues below them.  A bracket with
+    ``t < depth`` levels left stops at that leaf's ancestor ``t`` levels
+    down: the leaf index with its low ``depth - t`` bits cleared.  Every
+    bracket so takes its own levels, and its ends are the same to the
+    last bit as step-by-step bisection's.
     """
-    order = np.argsort(-rem)
-    lo_s, hi_s, left = lo[order], hi[order], rem[order]
-    live = int(np.count_nonzero(left))
-    while live:
-        # the deepest tree whose live * (2**depth - 1) midpoints fit in one sweep
-        depth = min(max(1, (_SWEEP_WIDTH // live + 1).bit_length() - 1), int(left[live - 1]))
-        lo_s[:live], hi_s[:live] = _multisect(b, u, lo_s[:live], hi_s[:live], order[:live],
-                                              depth)
-        left[:live] -= depth
-        live = int(np.count_nonzero(left))
-    lo[order], hi[order] = lo_s, hi_s
+    live = np.flatnonzero(rem)
+    while live.size:
+        # the deepest tree whose live.size * (2**depth - 1) midpoints fit in one sweep
+        fit = max(1, (_SWEEP_WIDTH // live.size + 1).bit_length() - 1)
+        depth = min(fit, int(np.max(rem[live])))
+        span = 1 << depth
+        grid = np.empty((live.size, span + 1))
+        grid[:, 0], grid[:, span] = lo[live], hi[live]
+        step = span
+        while step > 1:
+            half = step // 2
+            grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
+            step = half
+        cnt = _sturm_count(b, u, grid[:, 1:-1].ravel()).reshape(live.size, span - 1)
+        skip = depth - np.minimum(rem[live], depth)
+        pos = np.count_nonzero(cnt <= live[:, None], axis=1) >> skip << skip
+        rows = np.arange(live.size)
+        lo[live], hi[live] = grid[rows, pos], grid[rows, pos + (1 << skip)]
+        rem[live] -= depth - skip
+        live = live[rem[live] > 0]
 
 
 def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
@@ -567,9 +563,10 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     1e-13, then at most five Newton steps on the characteristic
     polynomial, clamped to the certified bracket.  The bisection runs as
     a multisection: one Sturm sweep evaluates the next several levels of
-    every bracket's bisection tree at once, as many as fit in
-    ``_SWEEP_WIDTH`` points, and yields exactly the brackets that one
-    midpoint per sweep would.  No dense matrix is formed.  Positive
+    every unfinished bracket's bisection tree at once, as many as fit in
+    ``_SWEEP_WIDTH`` points, each bracket takes as many of them as it
+    has left, and the brackets are exactly those that one midpoint per
+    sweep would give.  No dense matrix is formed.  Positive
     ``u_n`` guarantee the eigenvalues are simple, but two of them closer
     than the bracket width can round to the same double (Wilkinson's
     ``W_31^+`` is one such matrix); that raises ``NumericalError``

@@ -112,11 +112,18 @@ class TestSpectrumFamilies:
             SpectrumFamily("quadratic", 0)
         with pytest.raises(ValueError):
             generate_spectrum(SpectrumFamily("random-gap", 3, {"min_gap": 0.0}))
+        # a misspelled or foreign parameter used to be dropped silently
+        for kind, params in (("uniform-linear", {"stpe": 2}),
+                             ("symmetric-linear", {"offset": 1.0}),
+                             ("random-gap", {"step": 1.0})):
+            with pytest.raises(ValueError, match="unknown parameter"):
+                SpectrumFamily(kind, 3, params)
 
     def test_param_lookup_with_default(self):
         fam = SpectrumFamily("uniform-linear", 2, {"step": 0.5})
-        assert fam.param("step", 1.0) == 0.5
-        assert fam.param("offset", 0.0) == 0.0
+        assert fam.param("step") == 0.5
+        assert fam.param("offset") == 0.0
+        assert SpectrumFamily("random-gap", 2).param("seed") == 0
 
 
 class TestLinearGroundTruth:
@@ -266,7 +273,7 @@ class TestConfig:
         # strings, booleans and fractional counts or seeds are not numbers here
         fam = {"kind": "random-gap", "N": 3}
         for field, value in [("N", "3"), ("N", True), ("N", 3.7), ("reps", True),
-                             ("reps", 2.5), ("step", True), ("seed", 1.9), ("seed", "1"),
+                             ("reps", 2.5), ("min_gap", True), ("seed", 1.9), ("seed", "1"),
                              ("min_gap", None)]:
             doc = {"families": [{**fam, field: value}]}
             if field == "reps":

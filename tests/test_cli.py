@@ -284,6 +284,14 @@ class TestExitCodes:
         assert main(["bench", "--config", bad]) == 2
         assert capsys.readouterr().err == "error: N must be an integer, not 3.7\n"
 
+    def test_bench_config_with_a_misspelled_parameter_is_an_input_error(self, tmp_path, capsys):
+        # "stpe" used to be dropped, and the family ran with step 1
+        bad = _write(tmp_path, "c.json",
+                     {"families": [{"kind": "uniform-linear", "N": 3, "stpe": 2}]})
+        assert main(["bench", "--config", bad]) == 2
+        assert capsys.readouterr().err == ("error: unknown parameter 'stpe' for family "
+                                           "'uniform-linear'; its parameters are offset, step\n")
+
     def test_bench_unwritable_output(self, tmp_path):
         config = _write(tmp_path, "c.json", {"families": []})
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

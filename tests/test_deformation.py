@@ -17,7 +17,7 @@ from persymjac.deformation import (build_involution, deform_closed_form,
                                    deform_conjugate, deformed_polynomials,
                                    deformed_weights)
 from persymjac.errors import NumericalError
-from persymjac.jacobi import (MonicJacobi, SymmetricJacobi, eigenvalues,
+from persymjac.jacobi import (MonicJacobi, SymmetricJacobi, WeightTable, eigenvalues,
                               recurrence_polynomials, weights_general,
                               weights_persymmetric)
 
@@ -213,6 +213,23 @@ class TestDeformedWeights:
                 want = weights_general(deformed.to_monic(), eigenvalues(deformed.to_monic()))
                 assert np.max(np.abs(got.w - want.w)) <= 1e-9
                 assert abs(np.sum(got.w) - 1.0) <= 1e-12
+
+    def test_unequal_class_masses_are_a_numerical_error(self):
+        # a well-formed table whose mirror classes carry 0.6 and 0.4
+        table = WeightTable([-1.0, 0.0, 1.0], [0.4, 0.4, 0.2])
+        with pytest.raises(NumericalError, match="mirror classes"):
+            deformed_weights(table, np.pi / 12.0)
+        # the forward-recurrence table of a 32-point persymmetric matrix
+        # (draw 10) unbalances its classes by 3.3e-10; the tilt used to
+        # raise ValueError("weights must sum to one")
+        rng = np.random.default_rng(5)
+        for _ in range(11):
+            b = rng.uniform(-0.5, 0.5, 32)
+            a = rng.uniform(0.5, 1.0, 31)
+            k = SymmetricJacobi(0.5 * (b + b[::-1]), 0.5 * (a + a[::-1])).to_monic()
+            theta = rng.uniform(0.1, 0.7, 5)[0]
+        with pytest.raises(NumericalError, match="mirror classes"):
+            deformed_weights(weights_general(k, eigenvalues(k)), theta)
 
 
 # ----------------------------------------------------------------------

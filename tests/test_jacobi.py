@@ -569,6 +569,63 @@ class TestGuidedEigenvalues:
         assert all(np.array_equal(s, t) for s, t in zip(sweeps[1:], unguided))
 
 
+def _sweeps_at_the_fewest_levels(rem) -> int:
+    """Sweeps of a multisection whose every sweep takes the same number of
+    levels of all unfinished brackets, the fewest any of them has left."""
+    left, sweeps = sorted(r for r in rem if r), 0
+    while left:
+        fit = max(1, (jacobi._SWEEP_WIDTH // len(left) + 1).bit_length() - 1)
+        depth = min(fit, left[0])
+        left, sweeps = [r - depth for r in left if r > depth], sweeps + 1
+    return sweeps
+
+
+class TestMultisection:
+    def test_sturm_count_is_monotone(self):
+        # ``_bisect`` reads each bracket's leaf off by count rank
+        ulps = np.arange(-60.0, 61.0)
+        rel = np.linspace(-1e-12, 1e-12, 41)
+        for k in _forward_family():
+            x = eigenvalues(k).values
+            scale = float(np.max(np.abs(x)))
+            # the first midpoint too: the zero-pivot members meet their clamp there
+            reach = 2.0 * float(np.sum(np.sqrt(k.u)))
+            mid = 0.5 * ((np.min(k.b) - reach) + (np.max(k.b) + reach))
+            centres = np.append(x, mid)
+            pts = np.unique(np.concatenate((
+                (centres[:, None] + ulps * np.spacing(centres)[:, None]).ravel(),
+                (centres[:, None] + rel * scale).ravel())))
+            with np.errstate(all="ignore"):
+                cnt = jacobi._sturm_count(k.b, k.u, pts)
+            assert np.all(np.diff(cnt) >= 0), k.n
+
+    def test_brackets_take_their_own_levels(self, monkeypatch):
+        rng = np.random.default_rng(3013)
+        k = MonicJacobi(rng.uniform(-1.0, 1.0, 12), rng.uniform(0.1, 1.4, 11))
+        b, u = k.b, k.u
+        rem = np.array([48, 0, 1, 2, 3, 5, 8, 13, 21, 34, 40, 6])
+        reach = 2.0 * float(np.sum(np.sqrt(u)))
+        lo0, hi0 = float(np.min(b)) - reach, float(np.max(b)) + reach
+        # step by step: one midpoint per level of every bracket with levels left
+        ks = np.arange(b.size)
+        want_lo, want_hi = np.full(b.size, lo0), np.full(b.size, hi0)
+        pivmin = 1e-292 * max(1.0, float(np.max(u)))
+        for level in range(int(np.max(rem))):
+            mid = 0.5 * (want_lo + want_hi)
+            low_side = _ref_sturm_count(b, u, mid, pivmin) <= ks
+            step = rem > level
+            want_lo = np.where(step & low_side, mid, want_lo)
+            want_hi = np.where(step & ~low_side, mid, want_hi)
+        lo, hi, left = np.full(b.size, lo0), np.full(b.size, hi0), rem.copy()
+        sweeps = _sweeps(monkeypatch)
+        with np.errstate(all="ignore"):
+            jacobi._bisect(b, u, lo, hi, left)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+        assert not np.any(left)
+        # no sweep waits on the bracket with the fewest levels left: 8 sweeps against 13
+        assert len(sweeps) < _sweeps_at_the_fewest_levels(rem)
+
+
 # ----------------------------------------------------------------------
 # weights
 # ----------------------------------------------------------------------
