@@ -114,6 +114,8 @@ def _number(value, name: str, kind=float):
 class SpectrumFamily:
     """A named recipe for a deterministic spectrum of size ``N + 1``.
 
+    ``n`` is ``N``, a whole number of at least 1 (``3.0`` reads as 3).
+
     kinds and their parameters (all optional, with the defaults of
     ``_FAMILIES``; any other parameter is a ``ValueError``):
 
@@ -131,6 +133,7 @@ class SpectrumFamily:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown spectrum family {self.kind!r}")
+        object.__setattr__(self, "n", _number(self.n, "N", int))
         if self.n < 1:
             raise ValueError("spectrum families require N >= 1")
         known = _FAMILIES[self.kind]
@@ -269,8 +272,7 @@ def config_from_dict(doc: dict) -> BenchConfig:
         if not isinstance(entry, dict) or "kind" not in entry or "N" not in entry:
             raise ValueError("each family needs at least 'kind' and 'N'")
         params = {k: v for k, v in entry.items() if k not in ("kind", "N")}
-        fams.append(SpectrumFamily(str(entry["kind"]), _number(entry["N"], "N", int),
-                                   params))
+        fams.append(SpectrumFamily(str(entry["kind"]), entry["N"], params))
     reps = _number(doc.get("reps", 20), "reps", int)
     return BenchConfig(families=tuple(fams), algorithms=tuple(algorithms), reps=reps)
 

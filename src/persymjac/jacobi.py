@@ -21,20 +21,21 @@ number of its points that count no more eigenvalues below them than its
 own index, and takes as many of those levels as it has left: exactly
 the brackets that many single bisection steps would give.  A caller
 that already holds a guess at the spectrum, as a round trip does, can
-pass it: each bracket the guess isolates then follows the path
-bisection would take to its guess, every level counted in one sweep,
-and keeps the counted steps up to the first one the guess got wrong; a
-bracket so repaired then follows the path toward the midpoint it
-crossed, in one more sweep.  Every step kept is backed by its own
-count, so the eigenvalues are the same to the last bit whatever the
-guess.  Both the Sturm chain and the Newton recurrence sweep their rows
-in fixed-size blocks without guards, then check each guard (the pivot
-clamp, the rescale window) once per block.  Each recurrence writes its
-row once: a block where a guard fires runs the same rows again from its
-entry state with the guard applied on every row (for the Newton
-recurrence, only on the points the window caught), so the results are
-those of the row-by-row recurrences to the last bit.  Node weights come
-from the classical formulas
+pass it: every bracket then first follows the path bisection would take
+to its guess, every level of every path counted in one sweep, and keeps
+the counted steps up to the first one the guess got wrong; the
+multisection finishes what is left.  Every step kept is backed by its
+own count, so the eigenvalues are the same to the last bit whatever the
+guess, and a guess within ``delta`` of its eigenvalue spares the
+multisection about ``log2(span / delta)`` levels.  Both the Sturm chain
+and the Newton recurrence sweep their rows in fixed-size blocks without
+guards, then check each guard (the pivot clamp, the rescale window)
+once per block.  Each recurrence writes its row once: a block where a
+guard fires runs the same rows again from its entry state with the
+guard applied on every row (for the Newton recurrence, only on the
+points the window caught), so the results are those of the row-by-row
+recurrences to the last bit.  Node weights come from the classical
+formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
     w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)       (persymmetric)
@@ -316,8 +317,8 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
     clamp on every row, which is exactly the row-by-row chain.  The
     negative pivots of a block are counted at once.  The points
     themselves are taken in chunks of at most ``_BLOCK``, so that no block
-    exceeds it.  Only ``eigenvalues`` calls it, under its own
-    ``np.errstate``.
+    exceeds it.  ``_bisect`` and ``_follow`` call it, under
+    ``eigenvalues``'s ``np.errstate``.
     """
     m = min(xs.size, _BLOCK)
     rows = min(b.size, max(1, _BLOCK // m))
@@ -490,50 +491,25 @@ def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         live = live[rem[live] > 0]
 
 
-def _speculate(b: np.ndarray, u: np.ndarray, near: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, rem: np.ndarray) -> None:
-    """Bisect toward the guesses ``near`` where they isolate an eigenvalue.
+def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            rem: np.ndarray) -> None:
+    """Bisect every bracket along the path its guess in ``x`` predicts, checking every step.
 
-    On entry every bracket is the starting one.  Bracket ``k`` speculates
-    only if the counts at ``near[k] -+ _BISECT_ABS`` are ``k`` and
-    ``k + 1``: eigenvalue ``k`` then lies within ``_BISECT_ABS`` of its
-    guess.  ``_follow`` takes it along the path toward the guess.  A
-    bracket that path repairs has crossed a midpoint lying between the
-    guess and the eigenvalue, so within ``_BISECT_ABS`` of both, and the
-    guess now lies outside the bracket, beyond that midpoint; a second
-    ``_follow`` toward the same guess heads for that midpoint and so
-    takes nearly all the levels left.  ``lo``, ``hi`` and ``rem`` are
-    updated in place.
+    On entry every bracket is the starting one, with the same ``rem``
+    levels to go.  Bracket ``k``'s path is the one bisection would take
+    if eigenvalue ``k`` were ``x[k]``: one midpoint per level, each
+    rounded as ``0.5 * (lo + hi)`` of its parent.  One Sturm sweep counts
+    at every path point.  The bracket takes the counted side at each
+    level up to and including the first level whose count contradicts
+    the guess, so every step it keeps is the step bisection takes,
+    whatever the guess; ``lo``, ``hi`` and ``rem`` are updated in place.
     """
-    n1 = near.size
-    ks = np.arange(n1)
-    cnt = _sturm_count(b, u, np.concatenate((near - _BISECT_ABS, near + _BISECT_ABS)))
-    ks = ks[(cnt[:n1] == ks) & (cnt[n1:] == ks + 1)]
-    for _ in range(2):
-        if not ks.size:
-            return
-        _follow(b, u, near[ks], ks, lo, hi, rem)
-        ks = ks[rem[ks] > 0]
-
-
-def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, rem: np.ndarray) -> None:
-    """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
-
-    Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
-    the one bisection would take if its eigenvalue were ``x[j]``: one
-    midpoint per level, each rounded as ``0.5 * (lo + hi)`` of its parent.
-    One Sturm sweep counts at every path point.  The bracket takes the
-    counted side at each level up to and including the first level whose
-    count contradicts the guess, so every step it keeps is the step
-    bisection takes; ``lo``, ``hi`` and ``rem`` are updated in place.
-    """
-    m = ks.size
-    cols = np.arange(m)
-    levels = int(np.max(rem[ks]))
+    m = x.size
+    ks = np.arange(m)
+    levels = int(rem[0])
     # rows: the ends on entry, then the midpoint of each level
     ends = np.empty((levels + 2, m))
-    ends[0], ends[1] = lo[ks], hi[ks]
+    ends[0], ends[1] = lo, hi
     guess = np.empty((levels, m), dtype=bool)
     l, h = ends[0], ends[1]
     for mid, right in zip(ends[2:], guess):
@@ -544,15 +520,15 @@ def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.
         h = np.where(right, h, mid)
     counted = _sturm_count(b, u, ends[2:].ravel()).reshape(levels, m) <= ks
     wrong = counted != guess
-    # a bracket's last level is taken whether or not its guess was wrong
-    wrong[rem[ks] - 1, cols] = True
+    # the last level is taken whether or not the guess was wrong
+    wrong[-1] = True
     stop = np.argmax(wrong, axis=0)
     row = np.arange(2, levels + 2)[:, None]
     taken = row <= stop + 2
     # each end is the midpoint of the last taken level that moved it
-    lo[ks] = ends[np.max((taken & counted) * row, axis=0), cols]
-    hi[ks] = ends[np.max((taken > counted) * row, axis=0, initial=1), cols]
-    rem[ks] -= stop + 1
+    lo[:] = ends[np.max((taken & counted) * row, axis=0), ks]
+    hi[:] = ends[np.max((taken > counted) * row, axis=0, initial=1), ks]
+    rem -= stop + 1
 
 
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
@@ -574,14 +550,14 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
 
     ``near``, if given, is a guess at the spectrum with one value per
     eigenvalue, such as the spectrum a reconstruction was built from.
-    Each bracket the guess isolates first follows the bisection path
-    the guess predicts, all of it counted in one Sturm sweep, and keeps
-    the counted steps up to the first one the guess got wrong.  A bracket
-    so repaired follows, in one more sweep, the path toward the midpoint
-    it crossed, which lies within the bracket width of its eigenvalue;
-    the multisection finishes the rest.  Every step kept is backed by
-    its own count, so the result, error or not, is the same to the last
-    bit for every guess; a good guess only makes it faster.
+    Every bracket first follows the bisection path its guess predicts,
+    all paths counted in one Sturm sweep, and keeps the counted steps up
+    to the first one the guess got wrong; the multisection finishes the
+    brackets so repaired.  Every step kept is backed by its own count,
+    so the result, error or not, is the same to the last bit for every
+    guess.  A guess right to the bracket width leaves no multisection,
+    one right to a few digits saves that many levels of it, and a
+    useless guess costs one path sweep.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -601,7 +577,7 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     rem = np.full(n1, levels)
     with np.errstate(all="ignore"):
         if near is not None:
-            _speculate(b, u, near, lo, hi, rem)
+            _follow(b, u, near, lo, hi, rem)
         _bisect(b, u, lo, hi, rem)
         lam = 0.5 * (lo + hi)
         for _ in range(5):

@@ -118,6 +118,13 @@ class TestSpectrumFamilies:
                              ("random-gap", {"step": 1.0})):
             with pytest.raises(ValueError, match="unknown parameter"):
                 SpectrumFamily(kind, 3, params)
+        # N itself: 2.5 used to give 4 points, True 2, and "4" a TypeError
+        for n in (2.5, True, "4", None, 1e400):
+            with pytest.raises(ValueError, match="^N must be"):
+                SpectrumFamily("uniform-linear", n)
+        fam = SpectrumFamily("uniform-linear", 3.0)
+        assert type(fam.n) is int and len(generate_spectrum(fam)) == 4
+        assert linear_ground_truth(fam).n == 3
 
     def test_param_lookup_with_default(self):
         fam = SpectrumFamily("uniform-linear", 2, {"step": 0.5})

@@ -481,6 +481,22 @@ def _sweeps(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
+def _bisect_calls(monkeypatch, sweeps: list) -> list[tuple]:
+    """Every ``_bisect`` call from here on: its live brackets, their ends
+    on entry, and the sweeps it made (read off ``sweeps``)."""
+    calls = []
+    inner = jacobi._bisect
+
+    def spy(b, u, lo, hi, rem):
+        live = np.flatnonzero(rem)
+        entry, first = (live, lo[live].copy(), hi[live].copy()), len(sweeps)
+        inner(b, u, lo, hi, rem)
+        calls.append((*entry, sweeps[first:]))
+
+    monkeypatch.setattr(jacobi, "_bisect", spy)
+    return calls
+
+
 class TestGuidedEigenvalues:
     """``eigenvalues(K, near=g)`` is ``eigenvalues(K)`` to the last bit."""
 
@@ -515,13 +531,20 @@ class TestGuidedEigenvalues:
         x = 2.0 * x / x[-1] - 1.0
         return reconstruct_half_lattice(Spectrum(x)), x
 
-    def test_own_spectrum_needs_only_the_certify_and_speculative_sweeps(self, monkeypatch):
+    @staticmethod
+    def _levels(k):
+        """Bisection levels from the starting interval down to the bracket width."""
+        reach = 2.0 * float(np.sum(np.sqrt(k.u)))
+        span = (float(np.max(k.b)) + reach) - (float(np.min(k.b)) - reach)
+        return int(np.ceil(np.log2(max(span / jacobi._BISECT_ABS, 2.0)))) + 1
+
+    def test_own_spectrum_needs_only_the_path_sweep(self, monkeypatch):
         k, x = self._reconstruction()
         sweeps = _sweeps(monkeypatch)
         eigenvalues(k, near=x)
-        # the certify sweep at x -+ width, then one path for every bracket
-        assert len(sweeps) == 2
-        assert sweeps[0].size == 2 * x.size and sweeps[1].size % x.size == 0
+        # one path for every bracket, every level of it counted at once
+        assert len(sweeps) == 1
+        assert sweeps[0].size == self._levels(k) * x.size
 
     def test_guess_off_by_half_the_bracket_width_repairs_late(self, monkeypatch):
         k, x = self._reconstruction()
@@ -529,27 +552,40 @@ class TestGuidedEigenvalues:
         eigenvalues(k, near=x + 0.5 * jacobi._BISECT_ABS)
         # later sweeps finish the repaired brackets, which are already
         # within a few bracket widths of the eigenvalues
-        assert len(sweeps) > 2
-        later = np.concatenate(sweeps[2:])
+        assert len(sweeps) > 1
+        later = np.concatenate(sweeps[1:])
         assert np.max(np.min(np.abs(later[:, None] - x), axis=1)) <= 4 * jacobi._BISECT_ABS
 
-    def test_point_at_the_first_midpoint_is_followed_again(self, monkeypatch):
+    def test_point_at_the_first_midpoint_is_finished_by_bisection(self, monkeypatch):
         # a symmetric spectrum: the middle point is the starting interval's
         # midpoint, and its guess lies on the wrong side of it at level 0
         x = np.linspace(-1.0, 1.0, 11)
         k = reconstruct_half_lattice(Spectrum(x))
         want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
+        calls = _bisect_calls(monkeypatch, sweeps)
         assert eigenvalues(k, near=x).values.tobytes() == want.tobytes()
-        # the certify sweep, every bracket's path, then one more path for the
-        # middle bracket alone, toward the midpoint it crossed
-        assert len(sweeps) == 3
-        assert sweeps[2].size < sweeps[1].size // x.size
-        assert np.all(np.diff(np.abs(sweeps[2])) < 0.0)
-        assert abs(sweeps[2][-1]) <= jacobi._BISECT_ABS
+        # every bracket's path, then the multisection on the middle bracket
+        # alone, which the path repaired at the first midpoint
+        (live, lo, hi, inside), = calls
+        assert live.tolist() == [x.size // 2] and hi[0] == 0.0
+        assert inside and len(sweeps) == 1 + len(inside)
+        later = np.concatenate(inside)
+        assert np.all((later > lo[0]) & (later < hi[0]))
 
-    def test_speculative_sweep_larger_than_one_block(self, monkeypatch):
-        # 48 path points for each of 700 brackets: more than one block holds
+    def test_partly_right_guess_shortens_the_multisection(self, monkeypatch):
+        # a guess right to about nine digits: each path holds for some 30
+        # levels, which the multisection then need not take
+        k, _ = self._reconstruction()
+        sweeps = _sweeps(monkeypatch)
+        calls = _bisect_calls(monkeypatch, sweeps)
+        want = eigenvalues(k).values
+        assert eigenvalues(k, near=want + 1e-9).values.tobytes() == want.tobytes()
+        unguided, guided = (sum(s.size for s in call[3]) for call in calls)
+        assert guided < unguided
+
+    def test_path_sweep_larger_than_one_block(self, monkeypatch):
+        # 56 path points for each of 700 brackets: more than one block holds
         rng = np.random.default_rng(3011)
         k = MonicJacobi(rng.uniform(-1.0, 1.0, 700), rng.uniform(0.1, 1.4, 699))
         want = eigenvalues(k).values
@@ -557,16 +593,6 @@ class TestGuidedEigenvalues:
         for g in (want, want + 0.5 * jacobi._BISECT_ABS):
             assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
         assert max(s.size for s in sweeps) > jacobi._BLOCK
-
-    def test_guess_of_zeros_sends_every_bracket_to_multisection(self, monkeypatch):
-        k, x = self._reconstruction()
-        sweeps = _sweeps(monkeypatch)
-        eigenvalues(k)
-        unguided = list(sweeps)
-        sweeps.clear()
-        eigenvalues(k, near=np.zeros_like(x))
-        assert len(sweeps) == len(unguided) + 1
-        assert all(np.array_equal(s, t) for s, t in zip(sweeps[1:], unguided))
 
 
 def _sweeps_at_the_fewest_levels(rem) -> int:
