@@ -23,19 +23,22 @@ the brackets that many single bisection steps would give.  A caller
 that already holds a guess at the spectrum, as a round trip does, can
 pass it: every bracket then first follows the path bisection would take
 to its guess, every level of every path counted in one sweep, and keeps
-the counted steps up to the first one the guess got wrong; the
-multisection finishes what is left.  Every step kept is backed by its
-own count, so the eigenvalues are the same to the last bit whatever the
-guess, and a guess within ``delta`` of its eigenvalue spares the
-multisection about ``log2(span / delta)`` levels.  Both the Sturm chain
-and the Newton recurrence sweep their rows in fixed-size blocks without
-guards, then check each guard (the pivot clamp, the rescale window)
-once per block.  Each recurrence writes its row once: a block where a
-guard fires runs the same rows again from its entry state with the
-guard applied on every row (for the Newton recurrence, only on the
-points the window caught), so the results are those of the row-by-row
-recurrences to the last bit.  Node weights come from the classical
-formulas
+the counted steps up to the first one the guess got wrong.  A bracket
+so repaired has crossed a midpoint lying between its guess and its
+eigenvalue; if the guess lies within one bracket width of that
+midpoint, the bracket follows the path toward the guess once more, in
+one more sweep, which heads for that midpoint.  The multisection
+finishes what is left.  Every step kept is backed by its own count, so
+the eigenvalues are the same to the last bit whatever the guess, and a
+guess within ``delta`` of its eigenvalue spares the multisection about
+``log2(span / delta)`` levels.  Both the Sturm chain and the Newton
+recurrence sweep their rows in fixed-size blocks without guards, then
+check each guard (the pivot clamp, the rescale window) once per block.
+Each recurrence writes its row once: a block where a guard fires runs
+the same rows again from its entry state with the guard applied on
+every row (for the Newton recurrence, only on the points the window
+caught), so the results are those of the row-by-row recurrences to the
+last bit.  Node weights come from the classical formulas
 
     w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
     w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)       (persymmetric)
@@ -491,26 +494,25 @@ def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         live = live[rem[live] > 0]
 
 
-def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            rem: np.ndarray) -> None:
-    """Bisect every bracket along the path its guess in ``x`` predicts, checking every step.
+def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, rem: np.ndarray) -> None:
+    """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
 
-    On entry every bracket is the starting one, with the same ``rem``
-    levels to go.  Bracket ``k``'s path is the one bisection would take
-    if eigenvalue ``k`` were ``x[k]``: one midpoint per level, each
-    rounded as ``0.5 * (lo + hi)`` of its parent.  One Sturm sweep counts
-    at every path point.  The bracket takes the counted side at each
-    level up to and including the first level whose count contradicts
-    the guess, so every step it keeps is the step bisection takes,
-    whatever the guess; ``lo``, ``hi`` and ``rem`` are updated in place.
+    Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
+    the one bisection would take if its eigenvalue were ``x[j]``: one
+    midpoint per level, each rounded as ``0.5 * (lo + hi)`` of its
+    parent.  One Sturm sweep counts at every path point.  The bracket
+    takes the counted side at each level up to and including the first
+    level whose count contradicts the guess, so every step it keeps is
+    the step bisection takes, whatever the guess; ``lo``, ``hi`` and
+    ``rem`` are updated in place.
     """
-    m = x.size
-    ks = np.arange(m)
-    levels = int(rem[0])
+    cols = np.arange(ks.size)
+    levels = int(np.max(rem[ks]))
     # rows: the ends on entry, then the midpoint of each level
-    ends = np.empty((levels + 2, m))
-    ends[0], ends[1] = lo, hi
-    guess = np.empty((levels, m), dtype=bool)
+    ends = np.empty((levels + 2, ks.size))
+    ends[0], ends[1] = lo[ks], hi[ks]
+    guess = np.empty((levels, ks.size), dtype=bool)
     l, h = ends[0], ends[1]
     for mid, right in zip(ends[2:], guess):
         np.add(l, h, out=mid)
@@ -518,17 +520,15 @@ def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.
         np.less_equal(mid, x, out=right)
         l = np.where(right, mid, l)
         h = np.where(right, h, mid)
-    counted = _sturm_count(b, u, ends[2:].ravel()).reshape(levels, m) <= ks
-    wrong = counted != guess
-    # the last level is taken whether or not the guess was wrong
-    wrong[-1] = True
-    stop = np.argmax(wrong, axis=0)
+    counted = _sturm_count(b, u, ends[2:].ravel()).reshape(levels, ks.size) <= ks
     row = np.arange(2, levels + 2)[:, None]
+    # a bracket's last level, in row rem + 1, is taken whether or not its guess was wrong
+    stop = np.argmax((counted != guess) | (row == rem[ks] + 1), axis=0)
     taken = row <= stop + 2
     # each end is the midpoint of the last taken level that moved it
-    lo[:] = ends[np.max((taken & counted) * row, axis=0), ks]
-    hi[:] = ends[np.max((taken > counted) * row, axis=0, initial=1), ks]
-    rem -= stop + 1
+    lo[ks] = ends[np.max((taken & counted) * row, axis=0), cols]
+    hi[ks] = ends[np.max((taken > counted) * row, axis=0, initial=1), cols]
+    rem[ks] -= stop + 1
 
 
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
@@ -552,12 +552,17 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     eigenvalue, such as the spectrum a reconstruction was built from.
     Every bracket first follows the bisection path its guess predicts,
     all paths counted in one Sturm sweep, and keeps the counted steps up
-    to the first one the guess got wrong; the multisection finishes the
-    brackets so repaired.  Every step kept is backed by its own count,
-    so the result, error or not, is the same to the last bit for every
-    guess.  A guess right to the bracket width leaves no multisection,
-    one right to a few digits saves that many levels of it, and a
-    useless guess costs one path sweep.
+    to the first one the guess got wrong.  A bracket so repaired whose
+    guess lies within one bracket width of the midpoint it crossed
+    follows the path toward its guess once more, in one more sweep: that
+    midpoint lies between guess and eigenvalue, so the path heads for
+    it and takes nearly all the levels left (the middle point of an odd
+    equally spaced spectrum sits on the first midpoint).  The
+    multisection finishes the rest.  Every step kept is backed by its
+    own count, so the result, error or not, is the same to the last bit
+    for every guess.  A guess right to the bracket width leaves no
+    multisection, one right to a few digits saves that many levels of
+    it, and a useless guess costs one path sweep.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -577,7 +582,13 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     rem = np.full(n1, levels)
     with np.errstate(all="ignore"):
         if near is not None:
-            _follow(b, u, near, lo, hi, rem)
+            _follow(b, u, near, np.arange(n1), lo, hi, rem)
+            # a repaired bracket whose guess lies within one bracket width of
+            # it (of the midpoint its path crossed) follows that guess again
+            ks = np.flatnonzero(rem)
+            ks = ks[np.maximum(lo[ks] - near[ks], near[ks] - hi[ks]) <= _BISECT_ABS]
+            if ks.size:
+                _follow(b, u, near[ks], ks, lo, hi, rem)
         _bisect(b, u, lo, hi, rem)
         lam = 0.5 * (lo + hi)
         for _ in range(5):

@@ -556,22 +556,21 @@ class TestGuidedEigenvalues:
         later = np.concatenate(sweeps[1:])
         assert np.max(np.min(np.abs(later[:, None] - x), axis=1)) <= 4 * jacobi._BISECT_ABS
 
-    def test_point_at_the_first_midpoint_is_finished_by_bisection(self, monkeypatch):
+    def test_point_at_the_first_midpoint_is_finished_in_its_bracket(self, monkeypatch):
         # a symmetric spectrum: the middle point is the starting interval's
         # midpoint, and its guess lies on the wrong side of it at level 0
         x = np.linspace(-1.0, 1.0, 11)
         k = reconstruct_half_lattice(Spectrum(x))
         want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
-        calls = _bisect_calls(monkeypatch, sweeps)
         assert eigenvalues(k, near=x).values.tobytes() == want.tobytes()
-        # every bracket's path, then the multisection on the middle bracket
-        # alone, which the path repaired at the first midpoint
-        (live, lo, hi, inside), = calls
-        assert live.tolist() == [x.size // 2] and hi[0] == 0.0
-        assert inside and len(sweeps) == 1 + len(inside)
-        later = np.concatenate(inside)
-        assert np.all((later > lo[0]) & (later < hi[0]))
+        # after every bracket's path only the middle bracket is left: the
+        # half of the starting interval, beyond the midpoint 0, that holds
+        # its eigenvalue; it needs fewer points than one multisection sweep
+        later = np.concatenate(sweeps[1:])
+        lo, hi = (-np.inf, 0.0) if want[x.size // 2] <= 0.0 else (0.0, np.inf)
+        assert 0 < later.size < jacobi._SWEEP_WIDTH
+        assert np.all((later > lo) & (later < hi))
 
     def test_partly_right_guess_shortens_the_multisection(self, monkeypatch):
         # a guess right to about nine digits: each path holds for some 30
