@@ -11,40 +11,48 @@ form with ``u_n = a_n**2 > 0``.  The associated monic polynomials obey
 when it equals its reflection through the anti-diagonal:
 ``a_{N+1-i} = a_i`` and ``b_{N-i} = b_i``.
 
-Eigenvalues are computed without forming a dense matrix: bisection on
-Sturm counts of the recurrence, followed by a short Newton polish.  The
-bisection runs as a multisection sweep: one pass of the recurrence
-counts at the midpoints of the next several levels of every unfinished
-bracket's bisection tree.  The computed count rises with ``x``, so each
-bracket finds the leaf that bisection would reach by rank alone, as the
-number of its points that count no more eigenvalues below them than its
-own index, and takes as many of those levels as it has left: exactly
-the brackets that many single bisection steps would give.  A caller
-that already holds a guess at the spectrum, as a round trip does, can
-pass it: every bracket then first follows the path bisection would take
-to its guess, every level of every path counted in one sweep, and keeps
-the counted steps up to the first one the guess got wrong.  A bracket
-so repaired has crossed a midpoint lying between its guess and its
-eigenvalue; if the guess lies within one bracket width of that
-midpoint, the bracket follows the path toward the guess once more, in
-one more sweep, which heads for that midpoint.  The multisection
-finishes what is left.  Every step kept is backed by its own count, so
-the eigenvalues are the same to the last bit whatever the guess, and a
-guess within ``delta`` of its eigenvalue spares the multisection about
-``log2(span / delta)`` levels.  Both the Sturm chain and the Newton
-recurrence sweep their rows in fixed-size blocks without guards, then
-check each guard (the pivot clamp, the rescale window) once per block.
-Each recurrence writes its row once: a block where a guard fires runs
-the same rows again from its entry state with the guard applied on
-every row (for the Newton recurrence, only on the points the window
-caught), so the results are those of the row-by-row recurrences to the
-last bit.  Node weights come from the classical formulas
+Eigenvalues are computed without forming a dense matrix, by bisection
+on Sturm counts of the recurrence alone, from the row-wise Gershgorin
+interval down to a bracket width relative to it.  The bisection runs as
+a multisection sweep: one pass of the recurrence counts at the midpoints
+of the next several levels of every unfinished bracket's bisection tree.
+The computed count rises with ``x``, so each bracket finds the leaf that
+bisection would reach by rank alone, as the number of its points that
+count no more eigenvalues below them than its own index, and takes as
+many of those levels as it has left: exactly the brackets that many
+single bisection steps would give.  A caller that already holds a guess
+at the spectrum, as a round trip does, can pass it: every bracket then
+first follows the path bisection would take to its guess, every level of
+every path counted in one sweep, and keeps the counted steps up to the
+first one the guess got wrong.  A bracket so repaired has crossed a
+midpoint lying between its guess and its eigenvalue; if the guess lies
+within one bracket width of that midpoint, the bracket follows the path
+toward the guess once more, in one more sweep, which heads for that
+midpoint.  The multisection finishes what is left.  Every step kept is
+backed by its own count, so the eigenvalues are the same to the last bit
+whatever the guess, and a guess within ``delta`` of its eigenvalue
+spares the multisection about ``log2(span / delta)`` levels.  The Sturm
+chain sweeps its rows in fixed-size blocks without its guard (the pivot
+clamp), then checks the guard once per block; a block where it fires
+runs the same rows again from its entry pivot with the clamp on every
+row, so the counts are those of the row-by-row chain to the last bit.
 
-    w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))                 (general)
-    w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)       (persymmetric)
+The general node weights come from the same pivots.  At a node ``x``
+the downward pivots ``d+`` are the Sturm chain's, the upward pivots
+``d-`` are the chain's on the reversed rows, and
+``gamma_i = d+_i + d-_i - (b_i - x)`` is the twist of the factorization
+``J - x = N_r D_r N_r^T`` at row ``i`` (Parlett & Dhillon, *Linear
+Algebra Appl.* 267, 1997).  At the row ``r`` of the smallest
+``|gamma_r|`` the vector ``z`` with ``z_r = 1`` and
+``(J - x) z = gamma_r e_r`` is an eigenvector to within the residual
+``|gamma_r| / |z|``, and its components follow outwards from ``r`` by
+ratios of couplings and pivots.  The weight is ``w_s = z_0**2 / |z|**2``.
+The persymmetric weights have the closed form
 
-with the persymmetric variant normalized to unit total mass; the scale
-factor it implies is returned as ``h_N``.
+    w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)
+
+normalized to unit total mass; the scale factor it implies is returned
+as ``h_N``.
 """
 
 from __future__ import annotations
@@ -56,8 +64,6 @@ import numpy as np
 from .errors import NumericalError
 from .polynomials import Polynomial
 
-# Bisection brackets are narrowed to this absolute width before Newton.
-_BISECT_ABS = 1e-13
 # Most Sturm-count points in one multisection sweep.  A wider sweep takes
 # more levels per pass of the recurrence but counts at more points per
 # level.  Timed over the powers of two from 128 to 2048, 512 was fastest
@@ -65,11 +71,13 @@ _BISECT_ABS = 1e-13
 # width gives the same brackets.  From 171 points on (512 // 171 < 3)
 # each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
-# Most values in one block of the Sturm and Newton recurrences: a block
-# of rows is swept before its guards are checked, once.
+# Most values in one block of the Sturm chain: a block of rows is swept
+# before its guard is checked, once.
 _BLOCK = 1 << 15
-# The Newton recurrence rescales a point whose carriers leave this window.
-_WINDOW_LO, _WINDOW_HI = 1e-120, 1e120
+# Most pivots in each direction of one chunk of ``weights_general``'s nodes
+# (1 MB).  At 2049 points, chunks of 15 nodes (``_BLOCK``) made the weights
+# take longer than the eigensolve; 63 nodes take about a third of it.
+_CHUNK = 1 << 17
 # Relative gap below which two spectral points count as duplicates.
 _DUP_REL = 1e-12
 
@@ -317,10 +325,10 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
     guard is checked once for the whole block: when every
     ``|d_i| >= pivmin`` (NaN fails) the clamp would have changed nothing.
     Otherwise the block's rows run again from its entry pivot with the
-    clamp on every row, which is exactly the row-by-row chain.  The
-    negative pivots of a block are counted at once.  The points
-    themselves are taken in chunks of at most ``_BLOCK``, so that no block
-    exceeds it.  ``_bisect`` and ``_follow`` call it, under
+    clamp on every row (``_pivots``), which is exactly the row-by-row
+    chain.  The negative pivots of a block are counted at once.  The
+    points themselves are taken in chunks of at most ``_BLOCK``, so that
+    no block exceeds it.  ``_bisect`` and ``_follow`` call it, under
     ``eigenvalues``'s ``np.errstate``.
     """
     m = min(xs.size, _BLOCK)
@@ -334,14 +342,27 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
         entry = np.empty(x.size)
         for first in range(0, b.size, rows):
             d = buf[:b.size - first]
-            np.subtract(b[first:first + rows, None], x, out=d)
-            _pivot_rows(first, d, ul, entry)
-            if not np.min(np.abs(d)) >= pivmin:
-                np.subtract(b[first:first + rows, None], x, out=d)
-                _pivot_rows(first, d, ul, entry, clamp=pivmin)
+            _pivots(b, ul, x, first, d, entry, pivmin)
             np.copyto(entry, d[-1])
             cnt[c:c + m] += np.count_nonzero(d < 0.0, axis=0)
     return cnt
+
+
+def _pivots(b: np.ndarray, ul: list, x: np.ndarray, first: int, d: np.ndarray,
+            prev: np.ndarray, pivmin: float) -> None:
+    """Pivots of the Sturm chain's rows ``first..`` at the points ``x``, into ``d``.
+
+    ``prev`` holds the pivots of the row before them (for row 0, any
+    array of the points' shape).  The rows run unguarded, and again from
+    ``prev`` with the ``-pivmin`` clamp on every row when some pivot came
+    out smaller than ``pivmin`` in magnitude (NaN fails the test too):
+    the pivots of the row-by-row chain, to the bit.
+    """
+    np.subtract(b[first:first + d.shape[0], None], x, out=d)
+    _pivot_rows(first, d, ul, prev)
+    if not np.min(np.abs(d)) >= pivmin:
+        np.subtract(b[first:first + d.shape[0], None], x, out=d)
+        _pivot_rows(first, d, ul, prev, clamp=pivmin)
 
 
 def _pivot_rows(first: int, d: np.ndarray, ul: list, prev: np.ndarray, clamp=None) -> None:
@@ -359,99 +380,6 @@ def _pivot_rows(first: int, d: np.ndarray, ul: list, prev: np.ndarray, clamp=Non
         if clamp is not None:
             np.copyto(row, -clamp, where=np.abs(row) < clamp)
         prev = row
-
-
-def _char_eval(b: np.ndarray, u: np.ndarray, xs: np.ndarray):
-    """Evaluate ``P_N``, ``P_{N+1}`` and ``P'_{N+1}`` at each point.
-
-    All four recurrence carriers are rescaled jointly per point whenever
-    their magnitude leaves the window ``[_WINDOW_LO, _WINDOW_HI]``, so only
-    a common positive factor is lost; the accumulated log-scale is
-    returned alongside.
-
-    The recurrence runs through the rows in blocks of at most ``_BLOCK``
-    values.  One call forms the block's ``x - b_i``, and ``_pair_rows``
-    then steps every point through the block's rows unguarded.  The
-    window is tested once per block, over the carriers of all its rows.
-    The test of a row reads the magnitude ``max(|p|, |dp|)`` of the row
-    and of the one before it; scaling by a positive factor commutes with
-    ``abs`` and ``max`` under monotone rounding, so a block may start
-    from a rescaled row.  The block test fires when some row's test
-    would, and also on a non-finite carrier.  A rescale acts on each
-    point alone, so only the points whose magnitude left the window (or
-    is not finite) in some row of the block run the block's rows again,
-    from its entry rows, testing and rescaling row by row: that is
-    exactly the row-by-row recurrence, its floating-point warnings
-    included.  No row would have rescaled any other point, so their
-    unguarded values are the recurrence's.
-    """
-    xs = np.asarray(xs, dtype=float)
-    m = xs.size
-    rows = min(max(b.size - 1, 1), max(1, _BLOCK // (2 * m)))
-    # rows 0 and 1 hold the two rows before the block: (P, P') per row
-    q = np.empty((rows + 2, 2, m))
-    q[0, 0], q[0, 1], q[1, 1] = 1.0, 0.0, 1.0
-    np.subtract(xs, b[0], out=q[1, 0])
-    tb = np.empty((rows, m))
-    magb = np.empty((rows + 1, 2, m))
-    topb = np.empty((rows + 1, m))
-    logscale = np.zeros_like(xs)
-    ul = u.tolist()
-    for first in range(1, b.size, rows):
-        t = tb[:b.size - first]
-        k = t.shape[0]
-        np.subtract(xs, b[first:first + rows, None], out=t)
-        with np.errstate(all="ignore"):
-            _pair_rows(first, q, t, ul)
-            mag = np.abs(q[1:k + 2], out=magb[:k + 1])
-            top = np.maximum(mag[:, 0], mag[:, 1], out=topb[:k + 1])
-            # the test of a row reads its own magnitude and its previous row's
-            win = np.maximum(top[1:], top[:-1], out=mag[:k, 0])
-            clean = np.max(win) <= _WINDOW_HI and np.min(win) >= _WINDOW_LO
-        if not clean:
-            cols = np.flatnonzero(~np.all((win >= _WINDOW_LO) & (win <= _WINDOW_HI), axis=0))
-            # contiguous copies: a row of q[..., cols] would be strided
-            sub = q[:k + 2].take(cols, axis=2)
-            logscale[cols] = _pair_rows(first, sub, t.take(cols, axis=1), ul,
-                                        logscale=logscale[cols])
-            q[k:k + 2, :, cols] = sub[k:]
-        q[:2] = q[k:k + 2]
-    return q[0, 0], q[1, 0], q[1, 1], logscale
-
-
-def _pair_rows(first: int, q: np.ndarray, t: np.ndarray, ul: list, logscale=None):
-    """Rows ``first..`` of ``_char_eval``'s recurrence, one per row of ``t``.
-
-    ``t`` holds the rows' ``x - b_i``, ``q[0]`` and ``q[1]`` hold
-    ``(P, P')`` of the two rows before them, and row ``first + j`` lands
-    in ``q[j + 2]``.  Each row carries ``(P, P')`` as one pair in four
-    calls, with the roundings of ``t P - u P_prev`` and
-    ``P + t P' - u P'_prev``.  Given the points' ``logscale``, each row is
-    then tested, the points whose magnitude left the window are rescaled
-    together with the row before, and the updated log-scale is returned.
-    """
-    tmp = np.empty(q.shape[1:])
-    if logscale is not None:
-        top = np.maximum(*np.abs(q[1]))
-    for j, tj in enumerate(t):
-        prev, cur, nxt = q[j], q[j + 1], q[j + 2]
-        np.multiply(tj, cur, out=nxt)
-        np.add(cur[0], nxt[1], out=nxt[1])
-        np.multiply(ul[first + j - 1], prev, out=tmp)
-        np.subtract(nxt, tmp, out=nxt)
-        if logscale is None:
-            continue
-        top_prev, top = top, np.maximum(*np.abs(nxt))
-        mag = np.maximum(top, top_prev)
-        # fmax/fmin skip NaN, which the elementwise window test never flags
-        if np.fmax.reduce(mag) > _WINDOW_HI or np.fmin.reduce(mag) < _WINDOW_LO:
-            stretch = (mag > _WINDOW_HI) | ((mag > 0.0) & (mag < _WINDOW_LO))
-            if np.any(stretch):
-                s = np.where(stretch, 1.0 / mag, 1.0)
-                q[j + 1:j + 3] *= s
-                top *= s
-                logscale = logscale - np.log(s)
-    return logscale
 
 
 def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -531,36 +459,56 @@ def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.
     rem[ks] -= stop + 1
 
 
+def _start(b: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
+    """The bisection's starting interval ``[lo0, hi0]`` and its final width.
+
+    The interval is the row-wise Gershgorin one,
+    ``[min(b_i - a_i - a_{i+1}), max(b_i + a_i + a_{i+1})]``, padded by
+    ``2**-20`` of its width on each side; the width is
+    ``2**-54 * max(|lo0|, |hi0|)``, below the spacing of the doubles
+    near the larger end.  Scaling ``K`` by a power of two scales all three.
+    """
+    reach = np.append(np.sqrt(u), 0.0) + np.append(0.0, np.sqrt(u))
+    lo0, hi0 = float(np.min(b - reach)), float(np.max(b + reach))
+    pad = 2.0 ** -20 * (hi0 - lo0)
+    lo0, hi0 = lo0 - pad, hi0 + pad
+    return lo0, hi0, 2.0 ** -54 * max(abs(lo0), abs(hi0))
+
+
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     """All eigenvalues of ``K``, strictly increasing.
 
-    Bisection on Sturm counts from the interval
-    ``[min b - 2 sum|a|, max b + 2 sum|a|]`` down to absolute width
-    1e-13, then at most five Newton steps on the characteristic
-    polynomial, clamped to the certified bracket.  The bisection runs as
-    a multisection: one Sturm sweep evaluates the next several levels of
-    every unfinished bracket's bisection tree at once, as many as fit in
-    ``_SWEEP_WIDTH`` points, each bracket takes as many of them as it
-    has left, and the brackets are exactly those that one midpoint per
-    sweep would give.  No dense matrix is formed.  Positive
-    ``u_n`` guarantee the eigenvalues are simple, but two of them closer
-    than the bracket width can round to the same double (Wilkinson's
-    ``W_31^+`` is one such matrix); that raises ``NumericalError``
-    ("eigenvalues failed to separate").
+    Bisection on Sturm counts from the padded row-wise Gershgorin
+    interval down to a width of ``2**-54`` of its larger end (``_start``),
+    which is below the spacing of the doubles there; each eigenvalue is
+    the midpoint of its final bracket.  Every step is one Sturm count,
+    so scaling ``K`` by a power of two scales the result exactly, as long
+    as every value stays in the normal double range and no pivot meets
+    the clamp.  The bisection runs as a multisection: one
+    Sturm sweep evaluates the next several levels of every unfinished
+    bracket's bisection tree at once, as many as fit in ``_SWEEP_WIDTH``
+    points, each bracket takes as many of them as it has left, and the
+    brackets are exactly those that one midpoint per sweep would give.
+    No dense matrix is formed.  Positive ``u_n`` guarantee the
+    eigenvalues are simple, but two of them closer than the spacing of
+    the doubles can round to the same double (Wilkinson's ``W_31^+`` is
+    one such matrix); that raises ``NumericalError`` ("eigenvalues failed
+    to separate"), and so does a starting interval wider than the double
+    range.
 
     ``near``, if given, is a guess at the spectrum with one value per
     eigenvalue, such as the spectrum a reconstruction was built from.
     Every bracket first follows the bisection path its guess predicts,
     all paths counted in one Sturm sweep, and keeps the counted steps up
     to the first one the guess got wrong.  A bracket so repaired whose
-    guess lies within one bracket width of the midpoint it crossed
+    guess lies within one final bracket width of the midpoint it crossed
     follows the path toward its guess once more, in one more sweep: that
     midpoint lies between guess and eigenvalue, so the path heads for
     it and takes nearly all the levels left (the middle point of an odd
     equally spaced spectrum sits on the first midpoint).  The
     multisection finishes the rest.  Every step kept is backed by its
     own count, so the result, error or not, is the same to the last bit
-    for every guess.  A guess right to the bracket width leaves no
+    for every guess.  A guess right to the bracket width leaves little
     multisection, one right to a few digits saves that many levels of
     it, and a useless guess costs one path sweep.
     """
@@ -572,34 +520,23 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
             raise ValueError("near must hold one value per eigenvalue")
     if n1 == 1:
         return Spectrum(b)
-    reach = 2.0 * float(np.sum(np.sqrt(u)))
-    lo0 = float(np.min(b)) - reach
-    hi0 = float(np.max(b)) + reach
-    lo = np.full(n1, lo0)
-    hi = np.full(n1, hi0)
-    # capped before int(): a span past double range counts inf levels
-    levels = int(min(np.ceil(np.log2(max((hi0 - lo0) / _BISECT_ABS, 2.0))) + 1, 200))
-    rem = np.full(n1, levels)
     with np.errstate(all="ignore"):
+        lo0, hi0, width = _start(b, u)
+        if not hi0 - lo0 < np.inf:
+            raise NumericalError("eigenvalues failed to separate: "
+                                 "their Gershgorin interval spreads beyond double range")
+        lo, hi = np.full(n1, lo0), np.full(n1, hi0)
+        rem = np.full(n1, int(np.ceil(np.log2((hi0 - lo0) / width))) + 1)
         if near is not None:
             _follow(b, u, near, np.arange(n1), lo, hi, rem)
             # a repaired bracket whose guess lies within one bracket width of
             # it (of the midpoint its path crossed) follows that guess again
             ks = np.flatnonzero(rem)
-            ks = ks[np.maximum(lo[ks] - near[ks], near[ks] - hi[ks]) <= _BISECT_ABS]
+            ks = ks[np.maximum(lo[ks] - near[ks], near[ks] - hi[ks]) <= width]
             if ks.size:
                 _follow(b, u, near[ks], ks, lo, hi, rem)
         _bisect(b, u, lo, hi, rem)
         lam = 0.5 * (lo + hi)
-        for _ in range(5):
-            _, val, dval, _ = _char_eval(b, u, lam)
-            safe = dval != 0.0
-            step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-            new = np.clip(lam - step, lo, hi)
-            moved = float(np.max(np.abs(new - lam)))
-            lam = new
-            if moved == 0.0:
-                break
     try:
         return Spectrum(lam)
     except ValueError as exc:
@@ -607,22 +544,60 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
 
 
 def weights_general(K: MonicJacobi, spectrum) -> WeightTable:
-    """Node weights ``w_s = h_N / (P_N(x_s) P'_{N+1}(x_s))``, renormalized.
+    """Node weights ``w_s = z_0**2 / |z|**2`` of the eigenvectors ``z``.
 
-    ``spectrum`` must be the eigenvalue set of ``K``.  Logarithmic
-    bookkeeping keeps the quotient representable even when ``h_N`` or
-    the polynomial values leave double range.
+    ``spectrum`` must be the eigenvalue set of ``K``, to about the
+    accuracy ``eigenvalues`` gives.  At each node a twisted factorization
+    on the Sturm pivots (downward on the rows, upward on the reversed
+    rows, each with ``_sturm_count``'s ``pivmin`` clamp) picks the twist
+    ``r`` of the smallest ``|gamma_r|``, and ``log|z_i|`` is summed
+    outwards from ``z_r = 1`` by the ratios ``a_{i+1} / |d+_i|`` above
+    ``r`` and ``a_i / |d-_i|`` below it, so no component leaves double
+    range.  A node whose residual ``|gamma_r| / |z|`` reaches half its
+    gap to a neighbouring node is not known to be an eigenvalue of ``K``
+    apart from that neighbour, and raises ``NumericalError`` naming it.
+    The nodes are taken in chunks of at most ``_CHUNK`` pivots in each
+    direction; the table is renormalized to unit mass.
     """
     spec = Spectrum.coerce(spectrum)
-    if len(spec) != K.b.size:
+    b, u = K.b, K.u
+    n1 = b.size
+    if len(spec) != n1:
         raise ValueError("spectrum size does not match the matrix")
-    pN, _, dpN1, logscale = _char_eval(K.b, K.u, spec.values)
-    prod = pN * dpN1
-    if np.any(prod <= 0) or not np.all(np.isfinite(prod)):
-        raise NumericalError("weight formula produced a nonpositive node value; "
-                             "spectrum likely does not belong to this matrix")
-    logh = float(np.sum(np.log(K.u))) if K.u.size else 0.0
-    w, _ = _unit_mass(logh - (np.log(prod) + 2.0 * logscale))
+    x = spec.values
+    ul, lu = u.tolist(), u[::-1].tolist()
+    pivmin = 1e-292 * max([1.0, *ul])
+    half_gap = 0.5 * np.minimum(np.diff(x, prepend=-np.inf), np.diff(x, append=np.inf))
+    a = np.sqrt(u)[:, None]
+    rows = np.arange(n1)[:, None]
+    logw = np.empty(n1)
+    m = max(1, _CHUNK // n1)
+    with np.errstate(all="ignore"):
+        for c in range(0, n1, m):
+            xc = x[c:c + m]
+            down, up = np.empty((n1, xc.size)), np.empty((n1, xc.size))
+            _pivots(b, ul, xc, 0, down, xc, pivmin)
+            _pivots(b[::-1], lu, xc, 0, up, xc, pivmin)
+            up = up[::-1]
+            gamma = down + up - (b[:, None] - xc)
+            r = np.argmin(np.abs(gamma), axis=0)
+            # log|z_i / z_{i+1}| above the twist and log|z_i / z_{i-1}| below it
+            above = np.where(rows[:-1] < r, np.log(a / np.abs(down[:-1])), 0.0)
+            below = np.where(rows[1:] > r, np.log(a / np.abs(up[1:])), 0.0)
+            # log|z_i| with z_r = 1: partial sums outwards from the twist
+            lz = np.zeros((n1, xc.size))
+            lz[:-1] = np.cumsum(above[::-1], axis=0)[::-1]
+            lz[1:] += np.cumsum(below, axis=0)
+            top = np.max(lz, axis=0)
+            lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
+            res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)
+            bad = np.flatnonzero(~(res < half_gap[c:c + m]))
+            if bad.size:
+                s = c + int(bad[0])
+                raise NumericalError(f"node x_{s} = {x[s]:.17g} has residual {res[s - c]:.3e}, at "
+                                     "least half its gap: likely not an eigenvalue of this matrix")
+            logw[c:c + m] = 2.0 * (lz[0] - lnorm)
+    w, _ = _unit_mass(logw)
     return WeightTable(spec, w)
 
 

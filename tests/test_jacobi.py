@@ -6,10 +6,12 @@ formulas against their pinned rational values, and the mirror-symmetry
 machinery against both positive and negative controls.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from persymjac import jacobi
 from persymjac.errors import NumericalError
@@ -17,6 +19,7 @@ from persymjac.jacobi import (MonicJacobi, Spectrum, SymmetricJacobi, WeightTabl
                               eigenvalues, is_persymmetric, mirror_residual,
                               recurrence_polynomials, weights_general,
                               weights_persymmetric)
+from persymjac.benchmark import SpectrumFamily, generate_spectrum
 from persymjac.reconstruction import reconstruct_half_lattice
 
 
@@ -223,40 +226,32 @@ class TestEigenvalues:
 
 
 # Reference forward solver: plain bisection with one Sturm count per
-# bracket per sweep, the same Newton polish, and the weight formula on an
-# unfused recurrence.  ``eigenvalues`` and ``weights_general`` evaluate
-# the same roundings in a different order of NumPy calls, so they must
-# agree with it bit for bit.
+# bracket per sweep from the same start to the same width, and the
+# twisted factorization row by row.  ``eigenvalues`` and
+# ``weights_general`` evaluate the same roundings in a different order of
+# NumPy calls, so they must agree with it bit for bit.
+
+
+def _ref_clamp(d, pivmin):
+    return np.where(np.abs(d) < pivmin, -pivmin, d)
 
 
 def _ref_sturm_count(b, u, xs, pivmin):
-    d = b[0] - xs
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    d = _ref_clamp(b[0] - xs, pivmin)
     cnt = (d < 0).astype(np.int64)
     for i in range(1, b.size):
-        d = (b[i] - xs) - u[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        d = _ref_clamp((b[i] - xs) - u[i - 1] / d, pivmin)
         cnt += d < 0
     return cnt
 
 
-def _ref_char_eval(b, u, xs):
-    p_prev, p = np.ones_like(xs), xs - b[0]
-    dp_prev, dp = np.zeros_like(xs), np.ones_like(xs)
-    logscale = np.zeros_like(xs)
-    for i in range(1, b.size):
-        t = xs - b[i]
-        p_next = t * p - u[i - 1] * p_prev
-        dp_next = p + t * dp - u[i - 1] * dp_prev
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-        m = np.maximum(np.maximum(np.abs(p), np.abs(p_prev)),
-                       np.maximum(np.abs(dp), np.abs(dp_prev)))
-        stretch = (m > 1e120) | ((m > 0) & (m < 1e-120))
-        if np.any(stretch):
-            s = np.where(stretch, 1.0 / m, 1.0)
-            p_prev, p, dp_prev, dp = p_prev * s, p * s, dp_prev * s, dp * s
-            logscale = logscale - np.log(s)
-    return p_prev, p, dp, logscale
+def _ref_start(b, u):
+    """The row-wise Gershgorin interval, padded by 2**-20 of its width."""
+    a = np.concatenate(([0.0], np.sqrt(u), [0.0]))
+    lo0 = min(float(b[i] - (a[i] + a[i + 1])) for i in range(b.size))
+    hi0 = max(float(b[i] + (a[i] + a[i + 1])) for i in range(b.size))
+    pad = (hi0 - lo0) / 2.0 ** 20
+    return lo0 - pad, hi0 + pad
 
 
 def _ref_eigenvalues(k: MonicJacobi) -> np.ndarray:
@@ -264,48 +259,73 @@ def _ref_eigenvalues(k: MonicJacobi) -> np.ndarray:
     n1 = b.size
     if n1 == 1:
         return b.copy()
-    reach = 2.0 * float(np.sum(np.sqrt(u)))
-    lo0, hi0 = float(np.min(b)) - reach, float(np.max(b)) + reach
+    lo0, hi0 = _ref_start(b, u)
+    width = max(abs(lo0), abs(hi0)) / 2.0 ** 54
     pivmin = 1e-292 * max(1.0, float(np.max(u)))
     ks = np.arange(n1)
     lo, hi = np.full(n1, lo0), np.full(n1, hi0)
-    iters = int(np.ceil(np.log2(max((hi0 - lo0) / 1e-13, 2.0)))) + 1
-    for _ in range(min(iters, 200)):
+    for _ in range(int(np.ceil(np.log2((hi0 - lo0) / width))) + 1):
         mid = 0.5 * (lo + hi)
         low_side = _ref_sturm_count(b, u, mid, pivmin) <= ks
         lo = np.where(low_side, mid, lo)
         hi = np.where(low_side, hi, mid)
-    lam = 0.5 * (lo + hi)
-    for _ in range(5):
-        _, val, dval, _ = _ref_char_eval(b, u, lam)
-        safe = dval != 0.0
-        step = np.where(safe, val / np.where(safe, dval, 1.0), 0.0)
-        new = np.clip(lam - step, lo, hi)
-        moved = float(np.max(np.abs(new - lam)))
-        lam = new
-        if moved == 0.0:
-            break
     try:
-        return Spectrum(lam).values
+        return Spectrum(0.5 * (lo + hi)).values
     except ValueError as exc:
         raise NumericalError(f"eigenvalues failed to separate: {exc}") from exc
 
 
+def _ref_pivots(b, u, x, pivmin):
+    d = [_ref_clamp(b[0] - x, pivmin)]
+    for i in range(1, b.size):
+        d.append(_ref_clamp((b[i] - x) - u[i - 1] / d[-1], pivmin))
+    return d
+
+
 def _ref_weights(k: MonicJacobi, x: np.ndarray):
-    """Weights as ``weights_general`` computes them (None where it raises),
-    and whether the recurrence had to rescale."""
-    pN, _, dpN1, logscale = _ref_char_eval(k.b, k.u, x)
-    rescaled = bool(np.any(logscale != 0.0))
-    prod = pN * dpN1
-    if np.any(prod <= 0) or not np.all(np.isfinite(prod)):
-        return None, rescaled
-    logh = float(np.sum(np.log(k.u))) if k.u.size else 0.0
-    logw = logh - (np.log(prod) + 2.0 * logscale)
+    """Weights as ``weights_general`` computes them, or None where it raises:
+    the twisted factorization at every node, a row at a time."""
+    b, u = k.b, k.u
+    n1 = b.size
+    pivmin = 1e-292 * max(1.0, float(np.max(u, initial=0.0)))
+    down = _ref_pivots(b, u, x, pivmin)
+    up = _ref_pivots(b[::-1], u[::-1], x, pivmin)[::-1]
+    gamma = np.array([down[i] + up[i] - (b[i] - x) for i in range(n1)])
+    r = np.argmin(np.abs(gamma), axis=0)
+    a = np.sqrt(u)
+    # log|z_i| with z_r = 1, each summed outwards from the twist
+    lz = [np.zeros_like(x) for _ in range(n1)]
+    for i in range(n1 - 2, -1, -1):
+        lz[i] = np.where(i < r, lz[i + 1] + np.log(a[i] / np.abs(down[i])), 0.0)
+    for i in range(1, n1):
+        lz[i] = np.where(i > r, lz[i - 1] + np.log(a[i - 1] / np.abs(up[i])), lz[i])
+    top = np.max(lz, axis=0)
+    total = np.zeros_like(x)
+    for row in lz:
+        total = total + np.exp(2.0 * (row - top))
+    lnorm = top + 0.5 * np.log(total)
+    res = np.abs(gamma[r, np.arange(n1)]) * np.exp(-lnorm)
+    gaps = np.diff(x)
+    half_gap = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    if not np.all(res < half_gap):
+        return None
+    logw = 2.0 * (lz[0] - lnorm)
     top = float(np.max(logw))
     logw -= top + float(np.log(np.sum(np.exp(logw - top))))
     w = np.exp(logw)
     w /= np.sum(w)
-    return np.maximum(w, 0.0), rescaled
+    return np.maximum(w, 0.0)
+
+
+def _scipy_weights(k: MonicJacobi) -> tuple[np.ndarray, float]:
+    """Squared first components of SciPy's eigenvectors, the accuracy
+    oracle, and a bound on how far from them computed weights may lie:
+    eight times the first-order error ``eps * max|x| / (least gap)`` that
+    a perturbation of ``eps * |J|`` makes in an eigenvector (renormalizing
+    spreads a close pair's error to every weight)."""
+    x, vecs = scipy.linalg.eigh_tridiagonal(k.b, np.sqrt(k.u))
+    gap = float(np.min(np.diff(x), initial=np.inf))
+    return vecs[0] ** 2, max(8.0 * np.finfo(float).eps * float(np.max(np.abs(x))) / gap, 1e-15)
 
 
 def _late_zero_pivot() -> MonicJacobi:
@@ -322,8 +342,8 @@ def _late_zero_pivot() -> MonicJacobi:
 
 def _late_rescale() -> MonicJacobi:
     """200 points, zero diagonal and constant couplings ``u = 0.0025``:
-    ``|P_n| ~ 0.05**n`` at the eigenvalues, so the Newton recurrence first
-    leaves the rescale window at degree 95, past the first block of rows."""
+    ``|P_n| ~ 0.05**n`` at the eigenvalues, which leaves the range of 1e-120
+    at degree 95, while the pivots stay near 0.05."""
     return MonicJacobi(np.zeros(200), np.full(199, 0.0025))
 
 
@@ -341,9 +361,8 @@ def _zero_pivots_in_two_blocks() -> MonicJacobi:
 
 
 def _far_scale_blocks() -> MonicJacobi:
-    """300 random points scaled by 1e-6: the Newton recurrence runs in six
-    blocks of rows, and each point leaves the rescale window about every
-    20 rows, so every block is redone on most of its points."""
+    """300 random points scaled by 1e-6: ``|P_n|`` at the eigenvalues
+    shrinks by about 1e-6 a row, while the pivots stay near 1e-6."""
     rng = np.random.default_rng(3012)
     b = rng.uniform(-1.0, 1.0, 300) * 1e-6
     a = rng.uniform(0.3, 1.2, 299) * 1e-6
@@ -359,8 +378,8 @@ def _forward_family():
         a = rng.uniform(0.3, 1.2, n)
         yield MonicJacobi(b, a * a)
         yield _random_persymmetric(rng, n)
-        # tiny entries drive the recurrence below 1e-120 from 24 points
-        # on, huge ones above 1e120 near 40: both take the rescale branch
+        # tiny entries drive P_n below 1e-120 from 24 points on, huge
+        # ones above 1e120 near 40; the pivots scale with the entries
         for scale in (1e-6, 1e4):
             yield MonicJacobi(b * scale, (a * scale) ** 2)
     for n in (1, 4, 31, 64, 169, 512):
@@ -373,7 +392,7 @@ def _forward_family():
 
 def _guarded_starts(monkeypatch, rows: str) -> list[int]:
     """The first row of every guarded pass of ``jacobi.<rows>`` from here on:
-    ``_pivot_rows`` given a clamp, ``_pair_rows`` given a log-scale."""
+    ``_pivot_rows`` given a clamp."""
     starts = []
     inner = getattr(jacobi, rows)
 
@@ -388,65 +407,56 @@ def _guarded_starts(monkeypatch, rows: str) -> list[int]:
 
 class TestForwardSolverBits:
     def test_matches_the_reference_bit_for_bit(self):
-        rescaled = 0
+        chunked = 0
         for k in _forward_family():
             want = _ref_eigenvalues(k)
             got = eigenvalues(k).values
             assert got.tobytes() == want.tobytes(), k.n
-            want_w, fired = _ref_weights(k, want)
-            rescaled += fired
+            want_w = _ref_weights(k, want)
             if want_w is None:
                 with pytest.raises(NumericalError):
                     weights_general(k, got)
             else:
                 assert weights_general(k, got).w.tobytes() == want_w.tobytes(), k.n
-        assert rescaled >= 3
+            # the reference takes every node at once, weights_general in chunks
+            chunked += k.b.size ** 2 > jacobi._CHUNK
+        assert chunked >= 1
 
-    @pytest.mark.parametrize("make, rows, first_block", [
-        (_late_zero_pivot, "_pivot_rows", 0), (_late_rescale, "_pair_rows", 1)])
+    def test_weights_match_scipy(self):
+        for k in _forward_family():
+            got = weights_general(k, eigenvalues(k)).w
+            want, tol = _scipy_weights(k)
+            assert np.max(np.abs(got - want)) <= tol, k.n
+
+    @pytest.mark.parametrize("make, rows, first_block", [(_late_zero_pivot, "_pivot_rows", 0)])
     def test_guard_first_fires_past_the_first_block(self, monkeypatch, make, rows, first_block):
         # the guarded pass runs, and only on later blocks: the bits above
         # then cover a guarded pass that starts from the previous block's last row
         starts = _guarded_starts(monkeypatch, rows)
-        k = make()
-        weights_general(k, eigenvalues(k))
+        eigenvalues(make())
         assert starts and min(starts) > first_block
 
-    @pytest.mark.parametrize("make, rows", [
-        (_zero_pivots_in_two_blocks, "_pivot_rows"), (_far_scale_blocks, "_pair_rows")])
+    @pytest.mark.parametrize("make, rows", [(_zero_pivots_in_two_blocks, "_pivot_rows")])
     def test_guarded_pass_runs_in_several_blocks(self, monkeypatch, make, rows):
         starts = _guarded_starts(monkeypatch, rows)
         eigenvalues(make())
         assert len(set(starts)) >= 2
 
-    def test_far_scale_weights_warn_as_the_reference(self):
-        # persymmetric draws scaled by 1e100-1e120 on their dense spectra:
-        # where the window fires, the guarded rows run outside np.errstate
+    def test_far_scale_forward_warns_nothing_and_matches_scipy(self):
+        # persymmetric draws scaled by 1e100-1e120: no warning escapes, the
+        # spectrum separates and the weights are SciPy's
         rng = np.random.default_rng(3)
-        warned = 0
         for _ in range(300):
             scale = rng.uniform(1e100, 1e120)
             n1 = int(rng.integers(1, 25))
             b = _palindrome(rng, n1, -1.0, 1.0) * scale
             a = _palindrome(rng, n1 - 1, 0.05, 1.0) * scale
             k = SymmetricJacobi(b, a).to_monic()
-            try:
-                x = Spectrum.from_values(np.linalg.eigvalsh(SymmetricJacobi(b, a).dense()))
-            except ValueError:
-                continue
-            with warnings.catch_warnings(record=True) as want:
-                warnings.simplefilter("always")
-                want_w, _ = _ref_weights(k, x.values)
-            with warnings.catch_warnings(record=True) as got:
-                warnings.simplefilter("always")
-                if want_w is None:
-                    with pytest.raises(NumericalError):
-                        weights_general(k, x)
-                else:
-                    assert weights_general(k, x).w.tobytes() == want_w.tobytes(), n1
-            assert {str(w.message) for w in got} == {str(w.message) for w in want}, n1
-            warned += bool(got)
-        assert warned >= 5
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = weights_general(k, eigenvalues(k)).w
+            want, tol = _scipy_weights(SymmetricJacobi(b / scale, a / scale).to_monic())
+            assert np.max(np.abs(got - want)) <= tol, n1
 
     def test_near_degenerate_pair_fails_with_the_same_message(self):
         # Wilkinson's W_31^+: its top two eigenvalues agree in double precision
@@ -459,12 +469,17 @@ class TestForwardSolverBits:
         assert "failed to separate" in str(got.value)
 
 
-def _guides(x: np.ndarray) -> list[np.ndarray]:
-    """Guesses at the spectrum ``x``: exact, a few ulps off, off by the
-    bracket width either way, far off, all zeros and in reverse order."""
+def _width(k: MonicJacobi) -> float:
+    """The solver's final bracket width for ``k``."""
+    return jacobi._start(k.b, k.u)[2]
+
+
+def _guides(k: MonicJacobi, x: np.ndarray) -> list[np.ndarray]:
+    """Guesses at the spectrum ``x`` of ``k``: exact, a few ulps off, off by
+    the bracket width either way, far off, all zeros and in reverse order."""
     ulps = 3.0 * np.spacing(np.abs(x))
     far = 1e-3 * max(1.0, float(np.max(np.abs(x))))
-    return [x, x + ulps, x - ulps, x + jacobi._BISECT_ABS, x - jacobi._BISECT_ABS,
+    return [x, x + ulps, x - ulps, x + _width(k), x - _width(k),
             x + far, np.zeros_like(x), x[::-1]]
 
 
@@ -503,7 +518,7 @@ class TestGuidedEigenvalues:
     def test_bits_do_not_depend_on_the_guess(self):
         for k in _forward_family():
             want = eigenvalues(k).values
-            for g in _guides(want):
+            for g in _guides(k, want):
                 assert eigenvalues(k, near=g).values.tobytes() == want.tobytes(), k.n
 
     def test_near_degenerate_pair_fails_with_the_same_message_for_any_guess(self):
@@ -511,7 +526,7 @@ class TestGuidedEigenvalues:
         with pytest.raises(NumericalError) as want:
             eigenvalues(k)
         dense = np.linalg.eigvalsh(SymmetricJacobi.from_monic(k).dense())
-        for g in _guides(dense):
+        for g in _guides(k, dense):
             with pytest.raises(NumericalError) as got:
                 eigenvalues(k, near=g)
             assert str(got.value) == str(want.value)
@@ -534,27 +549,32 @@ class TestGuidedEigenvalues:
     @staticmethod
     def _levels(k):
         """Bisection levels from the starting interval down to the bracket width."""
-        reach = 2.0 * float(np.sum(np.sqrt(k.u)))
-        span = (float(np.max(k.b)) + reach) - (float(np.min(k.b)) - reach)
-        return int(np.ceil(np.log2(max(span / jacobi._BISECT_ABS, 2.0)))) + 1
+        lo0, hi0, width = jacobi._start(k.b, k.u)
+        return int(np.ceil(np.log2((hi0 - lo0) / width))) + 1
 
-    def test_own_spectrum_needs_only_the_path_sweep(self, monkeypatch):
+    def test_own_spectrum_needs_the_path_sweep_and_two_short_ones(self, monkeypatch):
         k, x = self._reconstruction()
         sweeps = _sweeps(monkeypatch)
         eigenvalues(k, near=x)
-        # one path for every bracket, every level of it counted at once
-        assert len(sweeps) == 1
+        # one path for every bracket, every level of it counted at once; the
+        # eigenvalues lie a few bracket widths off the spectrum the matrix was
+        # built from, so some paths go wrong in their last levels, and the
+        # second path and the multisection each finish them in one sweep,
+        # the two together shorter than one path
+        assert len(sweeps) == 3
         assert sweeps[0].size == self._levels(k) * x.size
+        assert sweeps[1].size + sweeps[2].size < self._levels(k)
 
     def test_guess_off_by_half_the_bracket_width_repairs_late(self, monkeypatch):
-        k, x = self._reconstruction()
+        k, _ = self._reconstruction()
+        want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
-        eigenvalues(k, near=x + 0.5 * jacobi._BISECT_ABS)
-        # later sweeps finish the repaired brackets, which are already
-        # within a few bracket widths of the eigenvalues
+        eigenvalues(k, near=want + 0.5 * _width(k))
+        # later sweeps finish the repaired brackets, which their paths have
+        # already brought within 2**5 bracket widths of the eigenvalues
         assert len(sweeps) > 1
         later = np.concatenate(sweeps[1:])
-        assert np.max(np.min(np.abs(later[:, None] - x), axis=1)) <= 4 * jacobi._BISECT_ABS
+        assert np.max(np.min(np.abs(later[:, None] - want), axis=1)) <= 32 * _width(k)
 
     def test_point_at_the_first_midpoint_is_finished_in_its_bracket(self, monkeypatch):
         # a symmetric spectrum: the middle point is the starting interval's
@@ -564,13 +584,17 @@ class TestGuidedEigenvalues:
         want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
         assert eigenvalues(k, near=x).values.tobytes() == want.tobytes()
-        # after every bracket's path only the middle bracket is left: the
-        # half of the starting interval, beyond the midpoint 0, that holds
-        # its eigenvalue; it needs fewer points than one multisection sweep
+        # after every bracket's path the middle bracket is left in the half
+        # of the starting interval, beyond the midpoint 0, that holds its
+        # eigenvalue, and a few others within 2**5 bracket widths of theirs
+        # (the eigenvalues lie a few widths off x); together they need
+        # fewer points than one multisection sweep
         later = np.concatenate(sweeps[1:])
-        lo, hi = (-np.inf, 0.0) if want[x.size // 2] <= 0.0 else (0.0, np.inf)
+        mid = x.size // 2
+        lo, hi = (-np.inf, 0.0) if want[mid] <= 0.0 else (0.0, np.inf)
+        others = np.min(np.abs(later[:, None] - np.delete(want, mid)), axis=1)
         assert 0 < later.size < jacobi._SWEEP_WIDTH
-        assert np.all((later > lo) & (later < hi))
+        assert np.all(((later > lo) & (later < hi)) | (others <= 32 * _width(k)))
 
     def test_partly_right_guess_shortens_the_multisection(self, monkeypatch):
         # a guess right to about nine digits: each path holds for some 30
@@ -589,7 +613,7 @@ class TestGuidedEigenvalues:
         k = MonicJacobi(rng.uniform(-1.0, 1.0, 700), rng.uniform(0.1, 1.4, 699))
         want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
-        for g in (want, want + 0.5 * jacobi._BISECT_ABS):
+        for g in (want, want + 0.5 * _width(k)):
             assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
         assert max(s.size for s in sweeps) > jacobi._BLOCK
 
@@ -614,8 +638,8 @@ class TestMultisection:
             x = eigenvalues(k).values
             scale = float(np.max(np.abs(x)))
             # the first midpoint too: the zero-pivot members meet their clamp there
-            reach = 2.0 * float(np.sum(np.sqrt(k.u)))
-            mid = 0.5 * ((np.min(k.b) - reach) + (np.max(k.b) + reach))
+            lo0, hi0, _ = jacobi._start(k.b, k.u)
+            mid = 0.5 * (lo0 + hi0)
             centres = np.append(x, mid)
             pts = np.unique(np.concatenate((
                 (centres[:, None] + ulps * np.spacing(centres)[:, None]).ravel(),
@@ -629,8 +653,7 @@ class TestMultisection:
         k = MonicJacobi(rng.uniform(-1.0, 1.0, 12), rng.uniform(0.1, 1.4, 11))
         b, u = k.b, k.u
         rem = np.array([48, 0, 1, 2, 3, 5, 8, 13, 21, 34, 40, 6])
-        reach = 2.0 * float(np.sum(np.sqrt(u)))
-        lo0, hi0 = float(np.min(b)) - reach, float(np.max(b)) + reach
+        lo0, hi0 = _ref_start(b, u)
         # step by step: one midpoint per level of every bracket with levels left
         ks = np.arange(b.size)
         want_lo, want_hi = np.full(b.size, lo0), np.full(b.size, hi0)
@@ -680,6 +703,64 @@ class TestWeightsGeneral:
             weights_general(k, [0.0, 1.0, 2.0])
         with pytest.raises(NumericalError):
             weights_general(k, [0.0, 1.0])  # P_1 vanishes at 0
+
+
+class TestForwardProblem:
+    """``eigenvalues`` then ``weights_general``, as ``persymjac forward`` runs them,
+    on matrices that the characteristic-polynomial weight formula failed."""
+
+    def test_random_32_point_weights_match_scipy(self):
+        rng = np.random.default_rng(1)
+        k = SymmetricJacobi(rng.uniform(-1.0, 1.0, 32), rng.uniform(0.3, 1.0, 31)).to_monic()
+        got = weights_general(k, eigenvalues(k)).w
+        want, tol = _scipy_weights(k)
+        assert np.max(np.abs(got - want)) <= tol
+        assert abs(got[30] - 5.82e-2) <= 1e-4
+
+    @pytest.mark.parametrize("n", (62, 128, 256))
+    def test_equally_spaced_weights_are_binomial(self, n):
+        # the closed form: w_s = C(N, s) / 2**N on the points -1 + 2s/N
+        k = _equally_spaced(n, 0.0)
+        spec = eigenvalues(k)
+        assert np.max(np.abs(spec.values - (-1.0 + (2.0 / n) * np.arange(n + 1)))) <= 1e-14
+        want = np.array([math.comb(n, s) for s in range(n + 1)]) / 2.0 ** n
+        assert np.max(np.abs(weights_general(k, spec).w - want)) <= 1e-14
+
+    def test_half_lattice_reconstructions_of_65_points(self):
+        for seed in range(20):
+            fam = SpectrumFamily("random-gap", 64, {"seed": seed, "min_gap": 0.05})
+            k = reconstruct_half_lattice(generate_spectrum(fam))
+            got = weights_general(k, eigenvalues(k)).w
+            want, tol = _scipy_weights(k)
+            assert np.max(np.abs(got - want)) <= tol, seed
+
+    def test_tiny_persymmetric_matrices(self):
+        # an absolute bracket width of 1e-13 could not separate these
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            scale = 10.0 ** -rng.uniform(14.0, 20.0)
+            b = _palindrome(rng, 12, -1.0, 1.0)
+            a = _palindrome(rng, 11, 0.3, 1.2)
+            k = SymmetricJacobi(b * scale, a * scale).to_monic()
+            spec = eigenvalues(k)
+            unit = SymmetricJacobi(b, a).to_monic()
+            want_x = scipy.linalg.eigh_tridiagonal(b, a, eigvals_only=True)
+            assert np.max(np.abs(spec.values / scale - want_x)) <= 1e-14
+            want, tol = _scipy_weights(unit)
+            assert np.max(np.abs(weights_general(k, spec).w - want)) <= tol
+
+    def test_foreign_spectrum_names_the_node_and_its_residual(self):
+        k = MonicJacobi([0.0, 0.0], [1.0])
+        with pytest.raises(NumericalError, match=r"node x_0 = 0 has residual 1\.000e\+00"):
+            weights_general(k, [0.0, 1.0])
+
+    def test_eigenvalues_scale_exactly_with_powers_of_two(self):
+        rng = np.random.default_rng(3)
+        k = reconstruct_half_lattice(Spectrum.from_values(rng.uniform(-1.0, 1.0, 12)))
+        base = eigenvalues(k).values
+        for e in range(-500, 451, 10):
+            scaled = MonicJacobi(np.ldexp(k.b, e), np.ldexp(k.u, 2 * e))
+            assert eigenvalues(scaled).values.tobytes() == np.ldexp(base, e).tobytes(), e
 
 
 class TestWeightsPersymmetric:
