@@ -13,7 +13,13 @@ when it equals its reflection through the anti-diagonal:
 
 Eigenvalues are computed without forming a dense matrix, by bisection
 on Sturm counts of the recurrence alone, from the row-wise Gershgorin
-interval down to a bracket width relative to it.  The bisection runs as
+interval down to a bracket width relative to it.  A matrix exactly
+mirror-symmetric outside its centre (every persymmetric matrix, and
+every isospectral deformation of one) is counted on its folded rows:
+the upper half once, standing for itself and its mirror image, and the
+centre as one tail row for each of the two mirror classes (``_fold``),
+so each count costs about half the rows; its eigenvalues are, to the
+last bit, bisection on that folded count.  The bisection runs as
 a multisection sweep: one pass of the recurrence counts at the midpoints
 of the next several levels of every unfinished bracket's bisection tree.
 The computed count rises with ``x``, so each bracket finds the leaf that
@@ -58,6 +64,7 @@ as ``h_N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,25 +309,89 @@ def recurrence_polynomials(K: MonicJacobi) -> OrthoPolySystem:
     return OrthoPolySystem(tuple(polys), K.norms())
 
 
-def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
+class _Rows(NamedTuple):
+    """The rows a Sturm count runs on: shared rows, then tail rows.
+
+    The shared rows have diagonal ``b`` and couplings ``ul``.  Each tail
+    row, diagonal ``tail[t]``, follows the last shared row through the
+    coupling ``join`` (squared).  The tail rows count once each, and when
+    there are any the shared rows count twice, standing for their mirror
+    images too (``_fold``); a matrix as it stands is its rows with no tail,
+    each counting once.  ``pivmin`` is the pivot guard of every row.
+    """
+
+    b: np.ndarray
+    ul: list
+    tail: np.ndarray
+    join: float
+    pivmin: float
+
+
+def _fold(b: np.ndarray, u: np.ndarray) -> _Rows:
+    """The rows ``eigenvalues`` counts on for the matrix ``(b, u)``.
+
+    With 0-based rows, ``u_i`` coupling rows ``i`` and ``i+1``, and
+    ``L = N // 2``, the centre of the matrix is row ``L`` for even ``N``
+    and rows ``L, L+1`` for odd ``N``.  A matrix that is exactly
+    mirror-symmetric outside its centre folds: ``b_i = b_{N-i}`` for
+    ``i < L``, and ``u_i = u_{N-1-i}`` for ``i < L`` (odd ``N``) or
+    ``i < L-1`` (even ``N``).  Rows ``0..L-1`` and their mirror images then
+    have the same pivots, ending in ``d_{L-1}``, and the Schur complement
+    of both in ``J - x`` is the centre less ``x`` and less its squared
+    couplings to them over ``d_{L-1}``.  By Sylvester's law of inertia
+    the count is twice the count of rows ``0..L-1`` plus the negative
+    eigenvalues of that complement, which are the pivots of the tail rows:
+    * odd ``N``: two tail rows ``mu-+`` through ``u_{L-1}`` each, the
+      eigenvalues ``0.5 b_L + 0.5 b_{L+1} -+ hypot(0.5 (b_L - b_{L+1}),
+      sqrt(u_L))`` of the 2x2 centre (at ``N = 1`` nothing is shared);
+    * even ``N``: one tail row ``b_L`` through ``u_{L-1} + u_L``.
+    Each tail row ends one block of Cantoni & Butler's split (*Linear
+    Algebra Appl.* 13, 1976), the spectra of the two blocks being the two
+    mirror classes; on persymmetric input ``mu-+ = b_L -+ a_L`` and the
+    even join is ``2 u_{L-1}``.  The isospectral deformations change only
+    the centre, so their output folds too.  Any other matrix, and a single
+    row, is its rows as they stand.  Either way the guard is the whole
+    matrix's ``pivmin = 1e-292 * max(1, max u)``.
+    """
+    n1 = b.size
+    half = (n1 - 1) // 2
+    paired = half - n1 % 2  # couplings outside the centre above it
+    pivmin = 1e-292 * max(1.0, float(np.max(u, initial=0.0)))
+    if n1 < 2 or not (np.array_equal(b[:half], b[::-1][:half])
+            and np.array_equal(u[:paired], u[::-1][:paired])):
+        return _Rows(b, u.tolist(), np.empty(0), 0.0, pivmin)
+    ul = u[:max(half - 1, 0)].tolist()
+    join = float(u[half - 1]) if half else 0.0
+    if n1 % 2:
+        return _Rows(b[:half], ul, b[half:half + 1], join + float(u[half]), pivmin)
+    mean = 0.5 * b[half] + 0.5 * b[half + 1]
+    radius = np.hypot(0.5 * (b[half] - b[half + 1]), np.sqrt(u[half]))
+    return _Rows(b[:half], ul, np.array([mean - radius, mean + radius]), join, pivmin)
+
+
+def _sturm_count(rows: _Rows, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each entry of ``xs``.
 
     Runs the Sturm chain of the recurrence in ratio (pivot) form
-    ``d_i = (b_i - x) - u_i / d_{i-1}``; the sign changes of the monic
-    chain ``P_0(x)..P_{N+1}(x)`` are exactly the negative pivots.  A pivot
-    smaller than ``pivmin = 1e-292 * max(1, max u)`` in magnitude is
-    replaced by ``-pivmin``.
+    ``d_i = (b_i - x) - u_i / d_{i-1}`` on ``rows``; the sign changes of the
+    monic chain ``P_0(x)..P_{N+1}(x)`` are exactly the negative pivots.  A
+    pivot smaller than ``pivmin = 1e-292 * max(1, max u)`` in magnitude is
+    replaced by ``-pivmin``.  With tail rows, the shared rows' negative
+    pivots count twice, and each tail row's pivot ``(t - x) - join / d``
+    on the last shared pivot ``d`` once, as negative when below ``pivmin``
+    (where the clamp would make it so).
 
     The computed count never decreases as ``x`` grows.  Every step of
     the pivot recurrence, the ``-pivmin`` clamp included, is monotone
     under round-to-nearest, and that makes the count of negative pivots
     monotone in ``x`` (Kahan 1966; Demmel, Dhillon & Ren, *ETNA* 3,
-    1995).  ``_bisect`` reads its brackets off by count rank on the
-    strength of it.
+    1995).  A folded count is the sum of the counts of its two blocks,
+    each the shared rows followed by one tail row, so it is monotone too.
+    ``_bisect`` reads its brackets off by count rank on the strength of it.
 
     At small N the cost is the number of NumPy calls per row, not the
-    arithmetic, so the chain runs through the rows in blocks of at most
-    ``_BLOCK`` values.  One call forms the block's ``b_i - x``, and
+    arithmetic, so the chain runs through the shared rows in blocks of at
+    most ``_BLOCK`` values.  One call forms the block's ``b_i - x``, and
     ``_pivot_rows`` then costs a divide and a subtract per row.  The pivot
     guard is checked once for the whole block: when every
     ``|d_i| >= pivmin`` (NaN fails) the clamp would have changed nothing.
@@ -331,20 +402,23 @@ def _sturm_count(b: np.ndarray, u: np.ndarray, xs: np.ndarray) -> np.ndarray:
     no block exceeds it.  ``_bisect`` and ``_follow`` call it, under
     ``eigenvalues``'s ``np.errstate``.
     """
+    b, ul, pivmin = rows.b, rows.ul, rows.pivmin
     m = min(xs.size, _BLOCK)
-    rows = min(b.size, max(1, _BLOCK // m))
+    step = max(1, min(b.size, _BLOCK // m))
     cnt = np.zeros(xs.size, dtype=np.intp)
-    ul = u.tolist()
-    pivmin = 1e-292 * max([1.0, *ul])
     for c in range(0, xs.size, m):
         x = xs[c:c + m]
-        buf = np.empty((rows, x.size))
-        entry = np.empty(x.size)
-        for first in range(0, b.size, rows):
+        buf = np.empty((step, x.size))
+        # the last shared pivot; with no shared rows (and join 0) it adds nothing
+        entry = np.ones(x.size)
+        for first in range(0, b.size, step):
             d = buf[:b.size - first]
             _pivots(b, ul, x, first, d, entry, pivmin)
             np.copyto(entry, d[-1])
             cnt[c:c + m] += np.count_nonzero(d < 0.0, axis=0)
+        if rows.tail.size:
+            tail = (rows.tail[:, None] - x) - rows.join / entry
+            cnt[c:c + m] = 2 * cnt[c:c + m] + np.count_nonzero(tail < pivmin, axis=0)
     return cnt
 
 
@@ -382,8 +456,7 @@ def _pivot_rows(first: int, d: np.ndarray, ul: list, prev: np.ndarray, clamp=Non
         prev = row
 
 
-def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            rem: np.ndarray) -> None:
+def _bisect(rows: _Rows, lo: np.ndarray, hi: np.ndarray, rem: np.ndarray) -> None:
     """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
 
     Bracket ``k`` holds eigenvalue ``k``.  Each multisection sweep lays
@@ -413,17 +486,17 @@ def _bisect(b: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             half = step // 2
             grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
             step = half
-        cnt = _sturm_count(b, u, grid[:, 1:-1].ravel()).reshape(live.size, span - 1)
+        cnt = _sturm_count(rows, grid[:, 1:-1].ravel()).reshape(live.size, span - 1)
         skip = depth - np.minimum(rem[live], depth)
         pos = np.count_nonzero(cnt <= live[:, None], axis=1) >> skip << skip
-        rows = np.arange(live.size)
-        lo[live], hi[live] = grid[rows, pos], grid[rows, pos + (1 << skip)]
+        at = np.arange(live.size)
+        lo[live], hi[live] = grid[at, pos], grid[at, pos + (1 << skip)]
         rem[live] -= depth - skip
         live = live[rem[live] > 0]
 
 
-def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, rem: np.ndarray) -> None:
+def _follow(rows: _Rows, x: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            rem: np.ndarray) -> None:
     """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
 
     Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
@@ -448,7 +521,7 @@ def _follow(b: np.ndarray, u: np.ndarray, x: np.ndarray, ks: np.ndarray, lo: np.
         np.less_equal(mid, x, out=right)
         l = np.where(right, mid, l)
         h = np.where(right, h, mid)
-    counted = _sturm_count(b, u, ends[2:].ravel()).reshape(levels, ks.size) <= ks
+    counted = _sturm_count(rows, ends[2:].ravel()).reshape(levels, ks.size) <= ks
     row = np.arange(2, levels + 2)[:, None]
     # a bracket's last level, in row rem + 1, is taken whether or not its guess was wrong
     stop = np.argmax((counted != guess) | (row == rem[ks] + 1), axis=0)
@@ -481,20 +554,28 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     Bisection on Sturm counts from the padded row-wise Gershgorin
     interval down to a width of ``2**-54`` of its larger end (``_start``),
     which is below the spacing of the doubles there; each eigenvalue is
-    the midpoint of its final bracket.  Every step is one Sturm count,
-    so scaling ``K`` by a power of two scales the result exactly, as long
-    as every value stays in the normal double range and no pivot meets
-    the clamp.  The bisection runs as a multisection: one
-    Sturm sweep evaluates the next several levels of every unfinished
-    bracket's bisection tree at once, as many as fit in ``_SWEEP_WIDTH``
+    the midpoint of its final bracket.  A matrix exactly mirror-symmetric
+    outside its centre (``_fold``: persymmetric matrices and their
+    isospectral deformations, ``hl`` and ``mf`` reconstructions) is
+    counted on its folded rows, its upper half counting twice and one
+    tail row for each mirror class, at about half the cost of the whole
+    chain; its eigenvalues are bisection on that count, the sum of the
+    counts of the two blocks of the mirror split.  One entry off by an
+    ulp outside the centre, and the whole chain is counted.  Every step
+    is one Sturm count, so scaling ``K`` by a power of two scales the
+    result exactly, as long as every value stays in the normal double
+    range and no pivot meets the clamp.  The bisection runs as a
+    multisection: one Sturm sweep evaluates the next several levels of
+    every unfinished bracket's bisection tree at once, as many as fit in ``_SWEEP_WIDTH``
     points, each bracket takes as many of them as it has left, and the
     brackets are exactly those that one midpoint per sweep would give.
     No dense matrix is formed.  Positive ``u_n`` guarantee the
     eigenvalues are simple, but two of them closer than the spacing of
     the doubles can round to the same double (Wilkinson's ``W_31^+`` is
-    one such matrix); that raises ``NumericalError`` ("eigenvalues failed
-    to separate"), and so does a starting interval wider than the double
-    range.
+    one such matrix, and most random persymmetric matrices from about 50
+    points up have such a pair, one eigenvalue of each mirror class);
+    that raises ``NumericalError`` ("eigenvalues failed to separate"), and
+    so does a starting interval wider than the double range.
 
     ``near``, if given, is a guess at the spectrum with one value per
     eigenvalue, such as the spectrum a reconstruction was built from.
@@ -525,17 +606,18 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         if not hi0 - lo0 < np.inf:
             raise NumericalError("eigenvalues failed to separate: "
                                  "their Gershgorin interval spreads beyond double range")
+        rows = _fold(b, u)
         lo, hi = np.full(n1, lo0), np.full(n1, hi0)
         rem = np.full(n1, int(np.ceil(np.log2((hi0 - lo0) / width))) + 1)
         if near is not None:
-            _follow(b, u, near, np.arange(n1), lo, hi, rem)
+            _follow(rows, near, np.arange(n1), lo, hi, rem)
             # a repaired bracket whose guess lies within one bracket width of
             # it (of the midpoint its path crossed) follows that guess again
             ks = np.flatnonzero(rem)
             ks = ks[np.maximum(lo[ks] - near[ks], near[ks] - hi[ks]) <= width]
             if ks.size:
-                _follow(b, u, near[ks], ks, lo, hi, rem)
-        _bisect(b, u, lo, hi, rem)
+                _follow(rows, near[ks], ks, lo, hi, rem)
+        _bisect(rows, lo, hi, rem)
         lam = 0.5 * (lo + hi)
     try:
         return Spectrum(lam)

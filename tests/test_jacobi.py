@@ -20,6 +20,7 @@ from persymjac.jacobi import (MonicJacobi, Spectrum, SymmetricJacobi, WeightTabl
                               recurrence_polynomials, weights_general,
                               weights_persymmetric)
 from persymjac.benchmark import SpectrumFamily, generate_spectrum
+from persymjac.deformation import deform_closed_form
 from persymjac.reconstruction import reconstruct_half_lattice
 
 
@@ -33,6 +34,11 @@ def _random_persymmetric(rng: np.random.Generator, n: int) -> MonicJacobi:
     b = _palindrome(rng, n + 1, -1.0, 1.0)
     a = _palindrome(rng, n, 0.3, 1.2)
     return MonicJacobi(b, a * a)
+
+
+def _deformed(k: MonicJacobi, theta: float) -> SymmetricJacobi:
+    """``k``, which must be persymmetric, deformed isospectrally by ``theta``."""
+    return deform_closed_form(SymmetricJacobi.from_monic(k), theta)
 
 
 def _equally_spaced(n: int, centre: float) -> MonicJacobi:
@@ -227,7 +233,9 @@ class TestEigenvalues:
 
 # Reference forward solver: plain bisection with one Sturm count per
 # bracket per sweep from the same start to the same width, and the
-# twisted factorization row by row.  ``eigenvalues`` and
+# twisted factorization row by row.  A matrix exactly mirror-symmetric
+# outside its centre is counted as its two mirror blocks, each built out
+# and run row by row, their counts summed.  ``eigenvalues`` and
 # ``weights_general`` evaluate the same roundings in a different order of
 # NumPy calls, so they must agree with it bit for bit.
 
@@ -243,6 +251,39 @@ def _ref_sturm_count(b, u, xs, pivmin):
         d = _ref_clamp((b[i] - xs) - u[i - 1] / d, pivmin)
         cnt += d < 0
     return cnt
+
+
+def _ref_blocks(k: MonicJacobi):
+    """The two blocks of the Cantoni & Butler split of ``k``, built row by row,
+    when ``k`` is exactly mirror-symmetric outside its 2x2 (odd N) or 1x1
+    (even N) centre, else None.  Their spectra are the two mirror classes:
+    odd ``N = 2L+1`` ends both blocks on rows ``0..L-1`` with an eigenvalue
+    of the centre, coupled by ``u_{L-1}``; even ``N = 2L`` gives rows
+    ``0..L-1`` alone and rows ``0..L`` with the couplings of row ``L``
+    summed."""
+    b, u = k.b, k.u
+    n = b.size - 1
+    half = n // 2
+    outside = half if n % 2 else half - 1  # couplings outside the centre above it
+    if any(b[i] != b[n - i] for i in range(half)) or any(
+            u[i] != u[n - 1 - i] for i in range(outside)):
+        return None
+    if n % 2 == 0:
+        return [(b[:half], u[:half - 1]),
+                (b[:half + 1], np.append(u[:half - 1], u[half - 1] + u[half]))]
+    mean = 0.5 * b[half] + 0.5 * b[half + 1]
+    radius = np.hypot(0.5 * (b[half] - b[half + 1]), math.sqrt(u[half]))
+    return [(np.append(b[:half], mean + radius), u[:half]),
+            (np.append(b[:half], mean - radius), u[:half])]
+
+
+def _ref_count(k: MonicJacobi, xs, pivmin):
+    """The Sturm count ``eigenvalues`` bisects on: the sum of the counts of
+    the two blocks of ``k`` where it has them, else the count of ``k``."""
+    blocks = _ref_blocks(k)
+    if blocks is None:
+        return _ref_sturm_count(k.b, k.u, xs, pivmin)
+    return sum(_ref_sturm_count(bb, uu, xs, pivmin) for bb, uu in blocks)
 
 
 def _ref_start(b, u):
@@ -266,7 +307,7 @@ def _ref_eigenvalues(k: MonicJacobi) -> np.ndarray:
     lo, hi = np.full(n1, lo0), np.full(n1, hi0)
     for _ in range(int(np.ceil(np.log2((hi0 - lo0) / width))) + 1):
         mid = 0.5 * (lo + hi)
-        low_side = _ref_sturm_count(b, u, mid, pivmin) <= ks
+        low_side = _ref_count(k, mid, pivmin) <= ks
         lo = np.where(low_side, mid, lo)
         hi = np.where(low_side, hi, mid)
     try:
@@ -360,6 +401,38 @@ def _zero_pivots_in_two_blocks() -> MonicJacobi:
     return MonicJacobi(b, np.ones(300))
 
 
+def _mirrored(n1: int, entries) -> MonicJacobi:
+    """``n1`` mirror-symmetric points with unit couplings, a zero diagonal
+    but for the ``(row, value)`` entries and their mirror images."""
+    b = np.zeros(n1)
+    for i, v in entries:
+        b[i] = b[n1 - 1 - i] = v
+    return MonicJacobi(b, np.ones(n1 - 1))
+
+
+def _late_zero_pivot_mirrored() -> MonicJacobi:
+    """399 points whose folded first Sturm sweep, at ``x = 0`` exactly,
+    meets an exactly zero pivot in its last shared row, 198, past the
+    first block of shared rows (the sweep's blocks start at rows 0, 82 and
+    164).  As in ``_late_zero_pivot`` the pivots alternate ``+1, -1, ...``
+    from ``b_0 = 1`` until ``b_198 = -1`` cancels row 198's; ``b_199 = 1``
+    at the centre centres the starting bracket."""
+    return _mirrored(399, [(0, 1.0), (198, -1.0), (199, 1.0)])
+
+
+def _zero_pivots_in_two_blocks_mirrored() -> MonicJacobi:
+    """577 points whose folded first Sturm sweep, at ``x = 0`` exactly,
+    meets exactly zero pivots in two blocks of shared rows (the sweep's
+    blocks start every 56 rows, the last at 280).  The pivots alternate
+    from ``b_0 = 1``; ``b_279 = 1`` cancels row 279's, whose clamped
+    ``-pivmin`` makes row 280's ``1e292``; ``b_281 = -1`` restarts the
+    alternation at ``-1``, and ``b_287 = 1`` cancels the last shared pivot.
+    The entries lie within 9 rows of the centre row 288, so the states
+    they bind and their mirror images stay apart: bound far from it, such
+    a pair rounds to one double."""
+    return _mirrored(577, [(0, 1.0), (279, 1.0), (281, -1.0), (287, 1.0)])
+
+
 def _far_scale_blocks() -> MonicJacobi:
     """300 random points scaled by 1e-6: ``|P_n|`` at the eigenvalues
     shrinks by about 1e-6 a row, while the pivots stay near 1e-6."""
@@ -377,7 +450,10 @@ def _forward_family():
         b = rng.uniform(-1.0, 1.0, n + 1)
         a = rng.uniform(0.3, 1.2, n)
         yield MonicJacobi(b, a * a)
-        yield _random_persymmetric(rng, n)
+        persymmetric = _random_persymmetric(rng, n)
+        yield persymmetric
+        # the deformations change the centre only: the output still folds
+        yield _deformed(persymmetric, 0.3 + 0.1 * n).to_monic()
         # tiny entries drive P_n below 1e-120 from 24 points on, huge
         # ones above 1e120 near 40; the pivots scale with the entries
         for scale in (1e-6, 1e4):
@@ -387,6 +463,8 @@ def _forward_family():
     yield _late_zero_pivot()
     yield _late_rescale()
     yield _zero_pivots_in_two_blocks()
+    yield _late_zero_pivot_mirrored()
+    yield _zero_pivots_in_two_blocks_mirrored()
     yield _far_scale_blocks()
 
 
@@ -428,7 +506,8 @@ class TestForwardSolverBits:
             want, tol = _scipy_weights(k)
             assert np.max(np.abs(got - want)) <= tol, k.n
 
-    @pytest.mark.parametrize("make, rows, first_block", [(_late_zero_pivot, "_pivot_rows", 0)])
+    @pytest.mark.parametrize("make, rows, first_block", [
+        (_late_zero_pivot, "_pivot_rows", 0), (_late_zero_pivot_mirrored, "_pivot_rows", 0)])
     def test_guard_first_fires_past_the_first_block(self, monkeypatch, make, rows, first_block):
         # the guarded pass runs, and only on later blocks: the bits above
         # then cover a guarded pass that starts from the previous block's last row
@@ -436,7 +515,9 @@ class TestForwardSolverBits:
         eigenvalues(make())
         assert starts and min(starts) > first_block
 
-    @pytest.mark.parametrize("make, rows", [(_zero_pivots_in_two_blocks, "_pivot_rows")])
+    @pytest.mark.parametrize("make, rows", [
+        (_zero_pivots_in_two_blocks, "_pivot_rows"),
+        (_zero_pivots_in_two_blocks_mirrored, "_pivot_rows")])
     def test_guarded_pass_runs_in_several_blocks(self, monkeypatch, make, rows):
         starts = _guarded_starts(monkeypatch, rows)
         eigenvalues(make())
@@ -469,6 +550,104 @@ class TestForwardSolverBits:
         assert "failed to separate" in str(got.value)
 
 
+def _folds(k: MonicJacobi) -> bool:
+    """Whether ``eigenvalues`` counts ``k`` on folded rows."""
+    return jacobi._fold(k.b, k.u).tail.size > 0
+
+
+def _sweep_rows(monkeypatch) -> list:
+    """The rows of every Sturm sweep from here on, in call order."""
+    seen = []
+    inner = jacobi._sturm_count
+
+    def spy(rows, xs):
+        seen.append(rows)
+        return inner(rows, xs)
+
+    monkeypatch.setattr(jacobi, "_sturm_count", spy)
+    return seen
+
+
+def _within_forward_bound(got: np.ndarray, want: np.ndarray) -> bool:
+    return float(np.max(np.abs(got - want))) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestFoldedEigenvalues:
+    """A matrix exactly mirror-symmetric outside its centre is counted on
+    its folded rows: the shared half twice, then one tail row per block."""
+
+    @pytest.mark.parametrize("n1", [2, 3, 4, 5, 8, 9, 32, 33])
+    def test_persymmetric_matrices_fold_and_match_scipy(self, n1):
+        rng = np.random.default_rng(3020 + n1)
+        for _ in range(10):
+            k = _random_persymmetric(rng, n1 - 1)
+            rows = jacobi._fold(k.b, k.u)
+            # odd N = 2L+1: two tail rows b_L -+ a_L; even N = 2L: one, b_L
+            half = (n1 - 1) // 2
+            assert rows.b.size == half
+            if n1 % 2:
+                assert rows.tail.tolist() == [k.b[half]] and rows.join == 2.0 * k.u[half - 1]
+            else:
+                a = math.sqrt(k.u[half])
+                assert rows.tail.tolist() == [k.b[half] - a, k.b[half] + a]
+            want = scipy.linalg.eigh_tridiagonal(k.b, np.sqrt(k.u), eigvals_only=True)
+            assert _within_forward_bound(eigenvalues(k).values, want), n1
+
+    def test_count_is_the_sum_of_the_block_counts(self):
+        # at the tail diagonals too: with no shared row (N = 1) a tail pivot
+        # vanishes there, and counts as negative, as the clamp makes it
+        folded = 0
+        for k in _forward_family():
+            rows = jacobi._fold(k.b, k.u)
+            if not rows.tail.size:
+                continue
+            folded += 1
+            x = eigenvalues(k).values
+            pts = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), rows.tail))
+            pivmin = 1e-292 * max(1.0, float(np.max(k.u)))
+            with np.errstate(all="ignore"):
+                got = jacobi._sturm_count(rows, pts)
+            assert np.array_equal(got, _ref_count(k, pts, pivmin)), k.n
+        assert folded >= 20
+
+    @pytest.mark.parametrize("theta", [-0.4, 0.2, 0.7, 1.0, 2.0])
+    def test_deformed_matrices_fold_and_keep_the_spectrum(self, theta):
+        rng = np.random.default_rng(3021)
+        for n in (1, 2, 3, 4, 9, 10, 21, 22):
+            j = SymmetricJacobi.from_monic(_random_persymmetric(rng, n))
+            deformed = deform_closed_form(j, theta)
+            # past pi/4 a centre coupling turns negative; its square is the same
+            assert bool(np.any(deformed.a < 0.0)) == (theta > np.pi / 4.0)
+            k = deformed.to_monic()
+            assert _folds(k)
+            want = scipy.linalg.eigh_tridiagonal(j.b, j.a, eigvals_only=True)
+            assert _within_forward_bound(eigenvalues(k).values, want), n
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_one_ulp_off_centre_takes_the_full_chain(self, monkeypatch, n):
+        k = _deformed(_random_persymmetric(np.random.default_rng(3022), n), 0.3).to_monic()
+        half, paired = n // 2, (n + 1) // 2 - 1  # entries of b and of u above the centre
+        moved = [("b", 0), ("b", n), ("b", half - 1), ("u", 0), ("u", n - 1), ("u", paired - 1)]
+        seen = _sweep_rows(monkeypatch)
+        for name, i in moved:
+            b, u = k.b.copy(), k.u.copy()
+            v = b if name == "b" else u
+            v[i] = np.nextafter(v[i], np.inf)
+            off = MonicJacobi(b, u)
+            assert _ref_blocks(off) is None
+            seen.clear()
+            got = eigenvalues(off).values
+            assert {(r.tail.size, r.b.size) for r in seen} == {(0, n + 1)}, (name, i)
+            assert got.tobytes() == _ref_eigenvalues(off).tobytes(), (name, i)
+        # the centre may move: the deformations move it
+        b, u = k.b.copy(), k.u.copy()
+        b[half] = np.nextafter(b[half], np.inf)
+        u[half] = np.nextafter(u[half], np.inf)
+        seen.clear()
+        eigenvalues(MonicJacobi(b, u))
+        assert {r.tail.size for r in seen} == {1 + n % 2}
+
+
 def _width(k: MonicJacobi) -> float:
     """The solver's final bracket width for ``k``."""
     return jacobi._start(k.b, k.u)[2]
@@ -488,9 +667,9 @@ def _sweeps(monkeypatch) -> list[np.ndarray]:
     seen = []
     inner = jacobi._sturm_count
 
-    def spy(b, u, xs):
+    def spy(rows, xs):
         seen.append(xs.copy())
-        return inner(b, u, xs)
+        return inner(rows, xs)
 
     monkeypatch.setattr(jacobi, "_sturm_count", spy)
     return seen
@@ -502,10 +681,10 @@ def _bisect_calls(monkeypatch, sweeps: list) -> list[tuple]:
     calls = []
     inner = jacobi._bisect
 
-    def spy(b, u, lo, hi, rem):
+    def spy(rows, lo, hi, rem):
         live = np.flatnonzero(rem)
         entry, first = (live, lo[live].copy(), hi[live].copy()), len(sweeps)
-        inner(b, u, lo, hi, rem)
+        inner(rows, lo, hi, rem)
         calls.append((*entry, sweeps[first:]))
 
     monkeypatch.setattr(jacobi, "_bisect", spy)
@@ -645,7 +824,7 @@ class TestMultisection:
                 (centres[:, None] + ulps * np.spacing(centres)[:, None]).ravel(),
                 (centres[:, None] + rel * scale).ravel())))
             with np.errstate(all="ignore"):
-                cnt = jacobi._sturm_count(k.b, k.u, pts)
+                cnt = jacobi._sturm_count(jacobi._fold(k.b, k.u), pts)
             assert np.all(np.diff(cnt) >= 0), k.n
 
     def test_brackets_take_their_own_levels(self, monkeypatch):
@@ -667,7 +846,7 @@ class TestMultisection:
         lo, hi, left = np.full(b.size, lo0), np.full(b.size, hi0), rem.copy()
         sweeps = _sweeps(monkeypatch)
         with np.errstate(all="ignore"):
-            jacobi._bisect(b, u, lo, hi, left)
+            jacobi._bisect(jacobi._fold(b, u), lo, hi, left)
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
         assert not np.any(left)
         # no sweep waits on the bracket with the fewest levels left: 8 sweeps against 13
@@ -757,6 +936,21 @@ class TestForwardProblem:
     def test_eigenvalues_scale_exactly_with_powers_of_two(self):
         rng = np.random.default_rng(3)
         k = reconstruct_half_lattice(Spectrum.from_values(rng.uniform(-1.0, 1.0, 12)))
+        # a half-lattice reconstruction is exactly palindromic: it folds
+        assert _folds(k)
+        self._scales_exactly(k)
+
+    @pytest.mark.parametrize("theta", [0.4, 1.1])
+    @pytest.mark.parametrize("size", [11, 12])
+    def test_deformed_eigenvalues_scale_exactly_with_powers_of_two(self, theta, size):
+        rng = np.random.default_rng(3)
+        k = reconstruct_half_lattice(Spectrum.from_values(rng.uniform(-1.0, 1.0, size)))
+        k = _deformed(k, theta).to_monic()
+        assert _folds(k)
+        self._scales_exactly(k)
+
+    @staticmethod
+    def _scales_exactly(k: MonicJacobi):
         base = eigenvalues(k).values
         for e in range(-500, 451, 10):
             scaled = MonicJacobi(np.ldexp(k.b, e), np.ldexp(k.u, 2 * e))
