@@ -344,26 +344,31 @@ def _fold(b: np.ndarray, u: np.ndarray) -> _Rows:
     * odd ``N``: two tail rows ``mu-+`` through ``u_{L-1}`` each, the
       eigenvalues ``0.5 b_L + 0.5 b_{L+1} -+ hypot(0.5 (b_L - b_{L+1}),
       sqrt(u_L))`` of the 2x2 centre (at ``N = 1`` nothing is shared);
-    * even ``N``: one tail row ``b_L`` through ``u_{L-1} + u_L``.
+    * even ``N``: one tail row ``b_L`` through ``u_{L-1} + u_L``, so only
+      when that sum is finite: near the top of the double range it
+      overflows, and the tail pivot would be an infinity signed by ``d_{L-1}``.
     Each tail row ends one block of Cantoni & Butler's split (*Linear
     Algebra Appl.* 13, 1976), the spectra of the two blocks being the two
     mirror classes; on persymmetric input ``mu-+ = b_L -+ a_L`` and the
     even join is ``2 u_{L-1}``.  The isospectral deformations change only
     the centre, so their output folds too.  Any other matrix, and a single
-    row, is its rows as they stand.  Either way the guard is the whole
+    row, or one whose two centre couplings sum past the double range, is
+    its rows as they stand.  Either way the guard is the whole
     matrix's ``pivmin = 1e-292 * max(1, max u)``.
     """
     n1 = b.size
     half = (n1 - 1) // 2
     paired = half - n1 % 2  # couplings outside the centre above it
     pivmin = 1e-292 * max(1.0, float(np.max(u, initial=0.0)))
+    join = float(u[half - 1]) if half else 0.0
+    if n1 % 2 and half:
+        join += float(u[half])
     if n1 < 2 or not (np.array_equal(b[:half], b[::-1][:half])
-            and np.array_equal(u[:paired], u[::-1][:paired])):
+            and np.array_equal(u[:paired], u[::-1][:paired]) and join < np.inf):
         return _Rows(b, u.tolist(), np.empty(0), 0.0, pivmin)
     ul = u[:max(half - 1, 0)].tolist()
-    join = float(u[half - 1]) if half else 0.0
     if n1 % 2:
-        return _Rows(b[:half], ul, b[half:half + 1], join + float(u[half]), pivmin)
+        return _Rows(b[:half], ul, b[half:half + 1], join, pivmin)
     mean = 0.5 * b[half] + 0.5 * b[half + 1]
     radius = np.hypot(0.5 * (b[half] - b[half + 1]), np.sqrt(u[half]))
     return _Rows(b[:half], ul, np.array([mean - radius, mean + radius]), join, pivmin)
@@ -561,7 +566,9 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     tail row for each mirror class, at about half the cost of the whole
     chain; its eigenvalues are bisection on that count, the sum of the
     counts of the two blocks of the mirror split.  One entry off by an
-    ulp outside the centre, and the whole chain is counted.  Every step
+    ulp outside the centre, and the whole chain is counted, as it is
+    when the two centre couplings of an even ``N`` sum past the double
+    range.  Every step
     is one Sturm count, so scaling ``K`` by a power of two scales the
     result exactly, as long as every value stays in the normal double
     range and no pivot meets the clamp.  The bisection runs as a

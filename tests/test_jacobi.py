@@ -260,7 +260,7 @@ def _ref_blocks(k: MonicJacobi):
     odd ``N = 2L+1`` ends both blocks on rows ``0..L-1`` with an eigenvalue
     of the centre, coupled by ``u_{L-1}``; even ``N = 2L`` gives rows
     ``0..L-1`` alone and rows ``0..L`` with the couplings of row ``L``
-    summed."""
+    summed, unless that sum overflows."""
     b, u = k.b, k.u
     n = b.size - 1
     half = n // 2
@@ -269,8 +269,10 @@ def _ref_blocks(k: MonicJacobi):
             u[i] != u[n - 1 - i] for i in range(outside)):
         return None
     if n % 2 == 0:
-        return [(b[:half], u[:half - 1]),
-                (b[:half + 1], np.append(u[:half - 1], u[half - 1] + u[half]))]
+        join = float(u[half - 1]) + float(u[half])
+        if not join < math.inf:
+            return None
+        return [(b[:half], u[:half - 1]), (b[:half + 1], np.append(u[:half - 1], join))]
     mean = 0.5 * b[half] + 0.5 * b[half + 1]
     radius = np.hypot(0.5 * (b[half] - b[half + 1]), math.sqrt(u[half]))
     return [(np.append(b[:half], mean + radius), u[:half]),
@@ -555,19 +557,6 @@ def _folds(k: MonicJacobi) -> bool:
     return jacobi._fold(k.b, k.u).tail.size > 0
 
 
-def _sweep_rows(monkeypatch) -> list:
-    """The rows of every Sturm sweep from here on, in call order."""
-    seen = []
-    inner = jacobi._sturm_count
-
-    def spy(rows, xs):
-        seen.append(rows)
-        return inner(rows, xs)
-
-    monkeypatch.setattr(jacobi, "_sturm_count", spy)
-    return seen
-
-
 def _within_forward_bound(got: np.ndarray, want: np.ndarray) -> bool:
     return float(np.max(np.abs(got - want))) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
 
@@ -628,7 +617,7 @@ class TestFoldedEigenvalues:
         k = _deformed(_random_persymmetric(np.random.default_rng(3022), n), 0.3).to_monic()
         half, paired = n // 2, (n + 1) // 2 - 1  # entries of b and of u above the centre
         moved = [("b", 0), ("b", n), ("b", half - 1), ("u", 0), ("u", n - 1), ("u", paired - 1)]
-        seen = _sweep_rows(monkeypatch)
+        seen = _sweeps(monkeypatch, rows=True)
         for name, i in moved:
             b, u = k.b.copy(), k.u.copy()
             v = b if name == "b" else u
@@ -647,6 +636,27 @@ class TestFoldedEigenvalues:
         eigenvalues(MonicJacobi(b, u))
         assert {r.tail.size for r in seen} == {1 + n % 2}
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_centre_couplings_summing_past_the_double_range_take_the_full_chain(
+            self, monkeypatch, n):
+        # u_{L-1} + u_L overflows: the folded tail pivot would be an infinity
+        # signed by d_{L-1} alone, and the outer brackets would run out to
+        # the ends of the starting interval
+        k = _random_persymmetric(np.random.default_rng(3023), n)
+        u = k.u / np.max(k.u) * 1.44e308
+        u[n // 2 - 1:n // 2 + 1] = 1.44e308
+        k = MonicJacobi(k.b, u)
+        assert _ref_blocks(k) is None
+        seen = _sweeps(monkeypatch, rows=True)
+        got = eigenvalues(k).values
+        assert {r.tail.size for r in seen} == {0}
+        assert got.tobytes() == _ref_eigenvalues(k).tobytes()
+        want = scipy.linalg.eigh_tridiagonal(k.b, np.sqrt(k.u), eigvals_only=True)
+        assert _within_forward_bound(got, want)
+        # every eigenvalue inside the spectral radius 2 max a, not at the ends
+        # of the starting interval, as the folded count left the outer two
+        assert np.max(np.abs(got)) <= 2.0 * math.sqrt(1.44e308)
+
 
 def _width(k: MonicJacobi) -> float:
     """The solver's final bracket width for ``k``."""
@@ -662,14 +672,15 @@ def _guides(k: MonicJacobi, x: np.ndarray) -> list[np.ndarray]:
             x + far, np.zeros_like(x), x[::-1]]
 
 
-def _sweeps(monkeypatch) -> list[np.ndarray]:
-    """The points of every Sturm sweep from here on, in call order."""
+def _sweeps(monkeypatch, rows: bool = False) -> list:
+    """The points of every Sturm sweep from here on, in call order, or
+    with ``rows`` the rows each sweep counted on."""
     seen = []
     inner = jacobi._sturm_count
 
-    def spy(rows, xs):
-        seen.append(xs.copy())
-        return inner(rows, xs)
+    def spy(r, xs):
+        seen.append(r if rows else xs.copy())
+        return inner(r, xs)
 
     monkeypatch.setattr(jacobi, "_sturm_count", spy)
     return seen
