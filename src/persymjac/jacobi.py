@@ -746,7 +746,10 @@ def mirror_residual(K: MonicJacobi, spectrum) -> float:
     ``chi_{N-n}(x_s) = (-1)^{N+s} chi_n(x_s)``; the returned residual is
     the maximum absolute violation over all ``n, s``.  Non-persymmetric
     input yields an O(1) value, which makes this usable as a negative
-    control as well as a verification metric.
+    control as well as a verification metric.  The table is a forward
+    recurrence, so from a few hundred points on its values or norms
+    leave double range; a residual that is not finite is returned as
+    ``inf``.
     """
     spec = Spectrum.coerce(spectrum)
     b, u = K.b, K.u
@@ -756,9 +759,11 @@ def mirror_residual(K: MonicJacobi, spectrum) -> float:
     n1 = b.size
     vals = np.empty((n1, n1))
     vals[0] = 1.0
-    if n1 > 1:
-        vals[1] = x - b[0]
-        for n in range(1, n1 - 1):
-            vals[n + 1] = (x - b[n]) * vals[n] - u[n - 1] * vals[n - 1]
-    chi = vals / np.sqrt(K.norms())[:, None]
-    return float(np.max(np.abs(chi[::-1] - _mirror_signs(n1 - 1) * chi)))
+    with np.errstate(all="ignore"):
+        if n1 > 1:
+            vals[1] = x - b[0]
+            for n in range(1, n1 - 1):
+                vals[n + 1] = (x - b[n]) * vals[n] - u[n - 1] * vals[n - 1]
+        chi = vals / np.sqrt(K.norms())[:, None]
+        worst = float(np.max(np.abs(chi[::-1] - _mirror_signs(n1 - 1) * chi)))
+    return worst if np.isfinite(worst) else np.inf

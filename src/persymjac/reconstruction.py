@@ -4,8 +4,8 @@ Given a strictly increasing spectrum ``x_0 < ... < x_N``, there is a
 unique persymmetric Jacobi matrix with that spectrum; this module
 implements four independent routes to it:
 
-``gs``  full Gram-Schmidt: the Stieltjes procedure (iterated discrete
-        inner products) over the persymmetric node weights;
+``gs``  full Gram-Schmidt: the Stieltjes procedure over the persymmetric
+        node weights, run as Lanczos on the full lattice;
 ``le``  Lagrange-Euclid: build the characteristic polynomial from its
         roots and the top orthonormal polynomial by interpolation of
         its alternating node values, then run the Euclidean descent;
@@ -28,11 +28,12 @@ asks whether the mapped-back coefficients form a matrix (finite ``b``,
 breakdown is raised as ``NumericalError``.  The coefficient-space routes
 (``le``, ``mf``) break down first as ``N`` grows -- representing
 high-degree polynomials by monomial coefficients is exponentially
-ill-conditioned.  ``gs`` completes at every size, but its full-lattice
-Stieltjes sweep drifts from about a hundred points on.  ``hl`` stays
-exact for about two thousand points: its Lanczos vectors stay
-representable after the sublattice weights underflow, and it raises once
-its start vector leaves the normal range.
+ill-conditioned.  ``gs`` and ``hl`` share one Lanczos kernel, whose
+vectors stay representable after the weights underflow; each raises once
+its start vector leaves the normal range, at about two thousand points.
+``gs`` drifts long before that, from about a hundred points on: its
+full-lattice recurrence loses orthogonality, while ``hl`` runs on one
+sublattice only and stays exact.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .jacobi import (MonicJacobi, Spectrum, WeightTable, _closed_form_logr,
-                     _first_bad_degree, _mirror_signs, _unit_mass, weights_persymmetric)
+                     _first_bad_degree, _mirror_signs, weights_persymmetric)
 # ``lagrange_interpolate`` is not called here; it stays bound so that
 # perfbench/spans.py finds the polynomial layer through this module
 # (tests/test_tracing.py checks every binding the tracer wraps).
@@ -262,53 +263,28 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
 
 
 # ----------------------------------------------------------------------
-# the Stieltjes procedure and its Lanczos form
+# the Stieltjes procedure in its Lanczos form
 # ----------------------------------------------------------------------
-
-
-def _stieltjes(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients of the discrete measure ``sum w_s delta(x_s)``.
-
-    Serves ``gs`` only; ``hl`` runs ``_lanczos``.  Iterates the
-    orthonormal three-term recurrence, reading off ``b_n = <x chi_n, chi_n>``
-    and ``u_{n+1} = ||(x - b_n) chi_n - a_n chi_{n-1}||^2`` (the same
-    inner-product ratios as the monic formulation, carried in normalized
-    form so the iterates stay representable).  Produces ``b_0..b_N`` and
-    ``u_1..u_N`` for the ``N+1`` points.  A norm that vanishes turns
-    every later coefficient NaN, which ``_reconstruct``'s check reports.
-    """
-    n = x.size - 1
-    b = np.empty(n + 1)
-    u = np.empty(n)
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
-    a_prev = 0.0
-    for k in range(n + 1):
-        bk = float(np.sum(w * x * q * q))
-        b[k] = bk
-        if k < n:
-            r = (x - bk) * q - a_prev * q_prev
-            uk = float(np.sum(w * r * r))
-            a = np.sqrt(uk)
-            u[k] = uk
-            q_prev, q, a_prev = q, r / a, a
-    return b, u
 
 
 def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str]
              ) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of the discrete measure with log weights ``logr``.
 
-    Runs Lanczos on ``diag(x)`` from the unit start vector proportional
-    to ``sqrt(w)``, the discrete-measure form of Gragg & Harrod (Numer.
-    Math. 44, 1984).  The Lanczos vectors are ``sqrt(w) chi_n(x)``: rows
+    The one kernel behind ``gs`` (the full lattice) and ``hl`` (one
+    sublattice).  Runs Lanczos on ``diag(x)`` from the unit start vector
+    proportional to ``sqrt(w)``: the Stieltjes procedure in the
+    discrete-measure form of Gragg & Harrod (Numer. Math. 44, 1984), with
+    ``b_n = <x chi_n, chi_n>`` and ``u_{n+1}`` the squared norm of the
+    next residual.  The Lanczos vectors are ``sqrt(w) chi_n(x)``: rows
     of an orthogonal matrix, so they stay representable where ``w``
     alone underflows.  The start vector is formed from the logs, and a
-    component below the normal range is a breakdown; a vanishing norm is
-    left to ``_reconstruct``, as in ``_stieltjes``.  Each degree costs one
-    product with ``x``, two dot products and in-place updates of three
-    preallocated buffers.  Produces ``b_0..b_{nb-1}`` and ``u_1..u_nu``;
-    ``nu`` must be ``nb`` or ``nb - 1``.
+    component below the normal range is a breakdown; a vanishing norm
+    turns every later coefficient NaN, which ``_reconstruct``'s check
+    reports.  Each degree costs one product with ``x``, two dot products
+    and in-place updates of three preallocated buffers.  Produces
+    ``b_0..b_{nb-1}`` and ``u_1..u_nu``; ``nu`` must be ``nb`` or
+    ``nb - 1``.
     """
     half = 0.5 * (logr - np.max(logr))
     lost = int(np.count_nonzero(half < _LOG_TINY))
@@ -346,8 +322,8 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
 
 
 def _gs_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    w, _ = _unit_mass(_closed_form_logr(xh))
-    return _stieltjes(xh, w)
+    n = xh.size - 1
+    return _lanczos(xh, _closed_form_logr(xh), n + 1, n, faults)
 
 
 def _le_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -437,10 +413,13 @@ def _reconstruct(core, spectrum) -> MonicJacobi:
 def reconstruct_gram_schmidt_full(spectrum) -> MonicJacobi:
     """Reconstruct via the Stieltjes procedure over the full weight table.
 
-    Computes the persymmetric node weights, then orthogonalizes the
-    monomial ladder against the discrete inner product
-    ``<f, g> = sum_s w_s f(x_s) g(x_s)``, reading off all ``N+1``
-    diagonal and ``N`` off-diagonal coefficients directly.
+    Orthogonalizes the polynomial ladder against the discrete inner
+    product ``<f, g> = sum_s w_s f(x_s) g(x_s)`` of the persymmetric node
+    weights, reading off all ``N+1`` diagonal and ``N`` off-diagonal
+    coefficients directly.  This runs ``hl``'s Lanczos kernel on the full
+    lattice, from the square roots of the closed-form weights formed in
+    logs.  There its vectors lose orthogonality, so the result drifts
+    from about a hundred points on, where ``hl`` stays exact.
     """
     return _reconstruct(_gs_core, spectrum)
 

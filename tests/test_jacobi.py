@@ -1103,3 +1103,10 @@ class TestMirrorResidual:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             mirror_residual(MonicJacobi([0.0, 0.0], [1.0]), [0.0])
+
+    @pytest.mark.parametrize("n", (513, 1025))
+    def test_table_out_of_range_is_inf_without_warnings(self, n):
+        # the forward table's norms underflow to 0 here: inf at 513
+        # points and NaN at 1025 came back, with a divide-by-zero warning
+        x = np.linspace(-1.0, 1.0, n)
+        assert mirror_residual(reconstruct_half_lattice(x), x) == np.inf

@@ -343,12 +343,31 @@ class TestLargeSpectra:
         assert np.max(np.abs(rec.b - truth.b)) <= 1e-13
         assert np.max(np.abs(rec.u - truth.u)) <= 1e-13
 
-    def test_half_lattice_start_vector_below_the_normal_range_is_a_numerical_error(self):
+    def test_full_lattice_drifts_where_the_half_lattice_is_exact(self):
+        # the paper's contrast: both run the same Lanczos kernel, but on
+        # the full lattice its vectors lose orthogonality by 129 points
+        fam = SpectrumFamily("symmetric-linear", 128, {"step": 2 / 128})
+        spec, truth = generate_spectrum(fam), linear_ground_truth(fam)
+
+        def entry_err(rec):
+            return max(np.max(np.abs(rec.b - truth.b)), np.max(np.abs(rec.u - truth.u)))
+
+        assert entry_err(reconstruct_gram_schmidt_full(spec)) > 1e-2
+        assert entry_err(reconstruct_half_lattice(spec)) < 1e-13
+
+    def test_full_lattice_completes_at_n_2049(self):
+        # the last size whose full-lattice start vector stays normal
+        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2049, {"step": 2 / 2049}))
+        rec = reconstruct_gram_schmidt_full(spec)
+        assert rec.b.size == 2050
+
+    @pytest.mark.parametrize("alg", ("gs", "hl"))
+    def test_half_lattice_start_vector_below_the_normal_range_is_a_numerical_error(self, alg):
         # at 3000 points some sqrt(w / max w) are subnormal; without the
         # guard the round trip comes back off by ~1e-1 and nothing is raised
         spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2999, {"step": 2 / 2999}))
         with pytest.raises(NumericalError, match="start vector"):
-            reconstruct_half_lattice(spec)
+            ALGORITHMS[alg](spec)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_half_lattice_round_trip_on_random_gap_n_1024(self, seed):
