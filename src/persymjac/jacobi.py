@@ -43,16 +43,21 @@ clamp), then checks the guard once per block; a block where it fires
 runs the same rows again from its entry pivot with the clamp on every
 row, so the counts are those of the row-by-row chain to the last bit.
 
-The general node weights come from the same pivots.  At a node ``x``
-the downward pivots ``d+`` are the Sturm chain's, the upward pivots
-``d-`` are the chain's on the reversed rows, and
+The eigenvectors come from the same pivots, in one kernel (``_twisted``).
+At a node ``x`` the downward pivots ``d+`` are the Sturm chain's, the
+upward pivots ``d-`` are the chain's on the reversed rows, and
 ``gamma_i = d+_i + d-_i - (b_i - x)`` is the twist of the factorization
 ``J - x = N_r D_r N_r^T`` at row ``i`` (Parlett & Dhillon, *Linear
 Algebra Appl.* 267, 1997).  At the row ``r`` of the smallest
 ``|gamma_r|`` the vector ``z`` with ``z_r = 1`` and
 ``(J - x) z = gamma_r e_r`` is an eigenvector to within the residual
 ``|gamma_r| / |z|``, and its components follow outwards from ``r`` by
-ratios of couplings and pivots.  The weight is ``w_s = z_0**2 / |z|**2``.
+ratios of couplings and pivots: their logs and signs are partial sums,
+so no component leaves double range.  The general node weight is
+``w_s = z_0**2 / |z|**2``, and the mirror relation of a persymmetric
+matrix, ``chi_{N-n}(x_s) = (-1)^{N+s} chi_n(x_s)``, is checked on the
+unit vectors ``z / |z|``, whose components are
+``sqrt(w_s) chi_n(x_s)`` up to one sign per node.
 The persymmetric weights have the closed form
 
     w_s proportional to (-1)^{N+s} / P'_{N+1}(x_s)
@@ -632,60 +637,90 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         raise NumericalError(f"eigenvalues failed to separate: {exc}") from exc
 
 
+def _twisted(K: MonicJacobi, x: np.ndarray):
+    """The twisted eigenvector ``z`` of ``K`` at each node of ``x``, chunk by chunk.
+
+    At each node a twisted factorization on the Sturm pivots (downward on
+    the rows, upward on the reversed rows, each with ``_sturm_count``'s
+    ``pivmin`` clamp) picks the twist ``r`` of the smallest ``|gamma_r|``,
+    and ``z`` with ``z_r = 1`` solves ``(J - x) z = gamma_r e_r``.  Its
+    components follow outwards from ``r`` by ``z_i / z_{i+1} = -a_{i+1} / d+_i``
+    above the twist and ``z_i / z_{i-1} = -a_i / d-_i`` below it, with
+    ``a_n = sqrt(u_n)``: ``log|z_i|`` is the partial sum of the logs of
+    their magnitudes, so no component leaves double range, and the sign of
+    ``z_i`` flips once for each positive pivot on the way.  The nodes are
+    taken in chunks of at most ``_CHUNK`` pivots in each direction; each
+    chunk yields its offset ``c``, then ``log|z_i|`` and the signs of
+    ``z_i`` (one column per node), ``log |z|`` and the residual
+    ``|gamma_r| / |z|`` (one entry per node).  ``weights_general`` and
+    ``mirror_residual`` both read it, under their own ``np.errstate``.
+    """
+    b, u = K.b, K.u
+    n1 = b.size
+    if x.size != n1:
+        raise ValueError("spectrum size does not match the matrix")
+    ul, lu = u.tolist(), u[::-1].tolist()
+    pivmin = 1e-292 * max([1.0, *ul])
+    a = np.sqrt(u)[:, None]
+    rows = np.arange(n1)[:, None]
+    m = max(1, _CHUNK // n1)
+    for c in range(0, n1, m):
+        xc = x[c:c + m]
+        down, up = np.empty((n1, xc.size)), np.empty((n1, xc.size))
+        _pivots(b, ul, xc, 0, down, xc, pivmin)
+        _pivots(b[::-1], lu, xc, 0, up, xc, pivmin)
+        up = up[::-1]
+        gamma = down + up - (b[:, None] - xc)
+        r = np.argmin(np.abs(gamma), axis=0)
+        above, below = rows[:-1] < r, rows[1:] > r
+        # log|z_i| with z_r = 1, and whether z_i < 0: the sum of
+        # log|z_j / z_{j+-1}|, and the parity of the pivots d_j > 0,
+        # outwards from the twist
+        lz = _outwards(np.add, np.where(above, np.log(a / np.abs(down[:-1])), 0.0),
+                       np.where(below, np.log(a / np.abs(up[1:])), 0.0))
+        odd = _outwards(np.logical_xor, above & (down[:-1] > 0.0), below & (up[1:] > 0.0))
+        top = np.max(lz, axis=0)
+        lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
+        res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)
+        yield c, lz, np.where(odd, -1.0, 1.0), lnorm, res
+
+
+def _outwards(op: np.ufunc, above: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``op`` over ``above``'s rows ``i..r-1`` and ``below``'s rows ``r..i-1``.
+
+    ``above`` and ``below`` have one row fewer than the result and hold
+    ``op``'s identity (zero or false) outside their own side of each
+    column's twist ``r``, so the accumulation runs outwards from ``r``,
+    where the result is the identity.
+    """
+    out = np.zeros((above.shape[0] + 1, above.shape[1]), above.dtype)
+    out[:-1] = op.accumulate(above[::-1], axis=0)[::-1]
+    op(out[1:], op.accumulate(below, axis=0), out=out[1:])
+    return out
+
+
 def weights_general(K: MonicJacobi, spectrum) -> WeightTable:
     """Node weights ``w_s = z_0**2 / |z|**2`` of the eigenvectors ``z``.
 
     ``spectrum`` must be the eigenvalue set of ``K``, to about the
-    accuracy ``eigenvalues`` gives.  At each node a twisted factorization
-    on the Sturm pivots (downward on the rows, upward on the reversed
-    rows, each with ``_sturm_count``'s ``pivmin`` clamp) picks the twist
-    ``r`` of the smallest ``|gamma_r|``, and ``log|z_i|`` is summed
-    outwards from ``z_r = 1`` by the ratios ``a_{i+1} / |d+_i|`` above
-    ``r`` and ``a_i / |d-_i|`` below it, so no component leaves double
-    range.  A node whose residual ``|gamma_r| / |z|`` reaches half its
-    gap to a neighbouring node is not known to be an eigenvalue of ``K``
-    apart from that neighbour, and raises ``NumericalError`` naming it.
-    The nodes are taken in chunks of at most ``_CHUNK`` pivots in each
-    direction; the table is renormalized to unit mass.
+    accuracy ``eigenvalues`` gives.  ``z`` is the twisted eigenvector at
+    each node (``_twisted``).  A node whose residual ``|gamma_r| / |z|``
+    reaches half its gap to a neighbouring node is not known to be an
+    eigenvalue of ``K`` apart from that neighbour, and raises
+    ``NumericalError`` naming it.  The table is renormalized to unit mass.
     """
     spec = Spectrum.coerce(spectrum)
-    b, u = K.b, K.u
-    n1 = b.size
-    if len(spec) != n1:
-        raise ValueError("spectrum size does not match the matrix")
     x = spec.values
-    ul, lu = u.tolist(), u[::-1].tolist()
-    pivmin = 1e-292 * max([1.0, *ul])
     half_gap = 0.5 * np.minimum(np.diff(x, prepend=-np.inf), np.diff(x, append=np.inf))
-    a = np.sqrt(u)[:, None]
-    rows = np.arange(n1)[:, None]
-    logw = np.empty(n1)
-    m = max(1, _CHUNK // n1)
+    logw = np.empty(x.size)
     with np.errstate(all="ignore"):
-        for c in range(0, n1, m):
-            xc = x[c:c + m]
-            down, up = np.empty((n1, xc.size)), np.empty((n1, xc.size))
-            _pivots(b, ul, xc, 0, down, xc, pivmin)
-            _pivots(b[::-1], lu, xc, 0, up, xc, pivmin)
-            up = up[::-1]
-            gamma = down + up - (b[:, None] - xc)
-            r = np.argmin(np.abs(gamma), axis=0)
-            # log|z_i / z_{i+1}| above the twist and log|z_i / z_{i-1}| below it
-            above = np.where(rows[:-1] < r, np.log(a / np.abs(down[:-1])), 0.0)
-            below = np.where(rows[1:] > r, np.log(a / np.abs(up[1:])), 0.0)
-            # log|z_i| with z_r = 1: partial sums outwards from the twist
-            lz = np.zeros((n1, xc.size))
-            lz[:-1] = np.cumsum(above[::-1], axis=0)[::-1]
-            lz[1:] += np.cumsum(below, axis=0)
-            top = np.max(lz, axis=0)
-            lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
-            res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)
-            bad = np.flatnonzero(~(res < half_gap[c:c + m]))
+        for c, lz, _, lnorm, res in _twisted(K, x):
+            bad = np.flatnonzero(~(res < half_gap[c:c + res.size]))
             if bad.size:
                 s = c + int(bad[0])
                 raise NumericalError(f"node x_{s} = {x[s]:.17g} has residual {res[s - c]:.3e}, at "
                                      "least half its gap: likely not an eigenvalue of this matrix")
-            logw[c:c + m] = 2.0 * (lz[0] - lnorm)
+            logw[c:c + res.size] = 2.0 * (lz[0] - lnorm)
     w, _ = _unit_mass(logw)
     return WeightTable(spec, w)
 
@@ -716,7 +751,7 @@ def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarra
     rows = np.arange(first, x.size, step)
     diff = x[rows, None] - x
     diff[np.arange(rows.size), rows] = 1.0
-    return -np.sum(np.log(np.abs(diff)), axis=1)
+    return -np.sum(np.log(np.abs(diff, out=diff), out=diff), axis=1)
 
 
 def _unit_mass(logw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -740,30 +775,31 @@ def _mirror_signs(n: int) -> np.ndarray:
 
 
 def mirror_residual(K: MonicJacobi, spectrum) -> float:
-    """Deviation from the mirror relation of the orthonormal polynomials.
+    """Deviation from the mirror relation of the unit eigenvectors.
 
-    For a persymmetric matrix the orthonormal values at the nodes obey
-    ``chi_{N-n}(x_s) = (-1)^{N+s} chi_n(x_s)``; the returned residual is
-    the maximum absolute violation over all ``n, s``.  Non-persymmetric
-    input yields an O(1) value, which makes this usable as a negative
-    control as well as a verification metric.  The table is a forward
-    recurrence, so from a few hundred points on its values or norms
-    leave double range; a residual that is not finite is returned as
-    ``inf``.
+    For a persymmetric matrix the orthonormal values at the eigenvalues
+    obey ``chi_{N-n}(x_s) = (-1)^{N+s} chi_n(x_s)``, that is, its unit
+    eigenvectors ``q_{n,s} = sqrt(w_s) chi_n(x_s)`` obey
+    ``q_{N-n,s} = (-1)^{N+s} q_{n,s}``.  ``q`` is the twisted eigenvector
+    at each node (``_twisted``) scaled to unit length, the same vector
+    ``weights_general`` reads its weights off, and the returned residual
+    is ``max |q_{N-n,s} - (-1)^{N+s} q_{n,s}|`` over all ``n, s``, which
+    is at most 2 and does not depend on the sign of each ``q``.  At a
+    node that is not an eigenvalue of ``K`` (a reconstruction checked at
+    the spectrum it was built from, or a spectrum of another matrix),
+    ``q`` is still the unit vector with ``(J - x) q`` a multiple of
+    ``e_r``: it lies close to the eigenvectors of the eigenvalues near the
+    node, and is measured all the same.  Unlike ``weights_general`` this
+    raises nothing on a large node residual ``|gamma_r| / |z|``, because
+    it is a metric: non-persymmetric input yields an O(1) value, which
+    makes it a negative control as well as a verification metric.  A
+    residual that is not finite is returned as ``inf``.
     """
     spec = Spectrum.coerce(spectrum)
-    b, u = K.b, K.u
-    if len(spec) != b.size:
-        raise ValueError("spectrum size does not match the matrix")
-    x = spec.values
-    n1 = b.size
-    vals = np.empty((n1, n1))
-    vals[0] = 1.0
+    signs = _mirror_signs(K.n)
+    worst = 0.0
     with np.errstate(all="ignore"):
-        if n1 > 1:
-            vals[1] = x - b[0]
-            for n in range(1, n1 - 1):
-                vals[n + 1] = (x - b[n]) * vals[n] - u[n - 1] * vals[n - 1]
-        chi = vals / np.sqrt(K.norms())[:, None]
-        worst = float(np.max(np.abs(chi[::-1] - _mirror_signs(n1 - 1) * chi)))
-    return worst if np.isfinite(worst) else np.inf
+        for c, lz, sign, lnorm, _ in _twisted(K, spec.values):
+            q = sign * np.exp(lz - lnorm)
+            worst = np.maximum(worst, np.max(np.abs(q[::-1] - signs[c:c + q.shape[1]] * q)))
+    return float(worst) if np.isfinite(worst) else np.inf

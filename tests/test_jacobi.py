@@ -1104,9 +1104,35 @@ class TestMirrorResidual:
         with pytest.raises(ValueError):
             mirror_residual(MonicJacobi([0.0, 0.0], [1.0]), [0.0])
 
-    @pytest.mark.parametrize("n", (513, 1025))
-    def test_table_out_of_range_is_inf_without_warnings(self, n):
-        # the forward table's norms underflow to 0 here: inf at 513
-        # points and NaN at 1025 came back, with a divide-by-zero warning
+    @pytest.mark.parametrize("n", (41, 129, 513, 1025))
+    def test_exact_on_half_lattice_reconstructions_without_warnings(self, n):
         x = np.linspace(-1.0, 1.0, n)
-        assert mirror_residual(reconstruct_half_lattice(x), x) == np.inf
+        k = reconstruct_half_lattice(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mirror_residual(k, x) <= 1e-12
+
+    def test_twisted_vectors_are_scipys_eigenvectors(self):
+        # the signed unit vectors mirror_residual measures are SciPy's
+        # eigenvectors up to the sign of each, within 8 times the
+        # first-order error eps * max|x| / (least gap) of an eigenvector;
+        # on the persymmetric draws the mirror relation holds to twice that
+        rng = np.random.default_rng(3019)
+        eps = np.finfo(float).eps
+        for i in range(200):
+            if i % 2:
+                k = _random_persymmetric(rng, int(rng.integers(1, 48)))
+            else:
+                n1 = int(rng.integers(2, 81))
+                k = MonicJacobi(rng.uniform(-1.0, 1.0, n1), rng.uniform(0.3, 1.2, n1 - 1) ** 2)
+            x, vecs = scipy.linalg.eigh_tridiagonal(k.b, np.sqrt(k.u))
+            tol = 8.0 * eps * float(np.max(np.abs(x))) / float(np.min(np.diff(x)))
+            with np.errstate(all="ignore"):
+                q = np.hstack([sign * np.exp(lz - lnorm) for _, lz, sign, lnorm, _
+                               in jacobi._twisted(k, eigenvalues(k).values)])
+            cols = np.arange(x.size)
+            big = np.argmax(np.abs(vecs), axis=0)
+            vecs *= np.sign(vecs[big, cols]) * np.sign(q[big, cols])
+            assert np.max(np.abs(q - vecs)) <= tol, (i, k.n)
+            if i % 2:
+                assert mirror_residual(k, eigenvalues(k)) <= 2.0 * tol, (i, k.n)
