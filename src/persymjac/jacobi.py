@@ -12,36 +12,26 @@ when it equals its reflection through the anti-diagonal:
 ``a_{N+1-i} = a_i`` and ``b_{N-i} = b_i``.
 
 Eigenvalues are computed without forming a dense matrix, by bisection
-on Sturm counts of the recurrence alone, from the row-wise Gershgorin
-interval down to a bracket width relative to it.  A matrix exactly
-mirror-symmetric outside its centre (every persymmetric matrix, and
-every isospectral deformation of one) is counted on its folded rows:
-the upper half once, standing for itself and its mirror image, and the
-centre as one tail row for each of the two mirror classes (``_fold``),
-so each count costs about half the rows; its eigenvalues are, to the
-last bit, bisection on that folded count.  The bisection runs as
-a multisection sweep: one pass of the recurrence counts at the midpoints
-of the next several levels of every unfinished bracket's bisection tree.
-The computed count rises with ``x``, so each bracket finds the leaf that
-bisection would reach by rank alone, as the number of its points that
-count no more eigenvalues below them than its own index, and takes as
-many of those levels as it has left: exactly the brackets that many
-single bisection steps would give.  A caller that already holds a guess
-at the spectrum, as a round trip does, can pass it: every bracket then
-first follows the path bisection would take to its guess, every level of
-every path counted in one sweep, and keeps the counted steps up to the
-first one the guess got wrong.  A bracket so repaired has crossed a
-midpoint lying between its guess and its eigenvalue; if the guess lies
-within one bracket width of that midpoint, the bracket follows the path
-toward the guess once more, in one more sweep, which heads for that
-midpoint.  The multisection finishes what is left.  Every step kept is
-backed by its own count, so the eigenvalues are the same to the last bit
-whatever the guess, and a guess within ``delta`` of its eigenvalue
-spares the multisection about ``log2(span / delta)`` levels.  The Sturm
-chain sweeps its rows in fixed-size blocks without its guard (the pivot
-clamp), then checks the guard once per block; a block where it fires
-runs the same rows again from its entry pivot with the clamp on every
-row, so the counts are those of the row-by-row chain to the last bit.
+on Sturm counts of the recurrence alone, over a fixed grid of points
+finer than the doubles at the ends of the row-wise Gershgorin interval.
+A matrix exactly mirror-symmetric outside its centre (every persymmetric
+matrix, and every isospectral deformation of one) is counted on its
+folded rows: the upper half once, standing for itself and its mirror
+image, and the centre as one tail row for each of the two mirror classes
+(``_fold``), so each count costs about half the rows.  Eigenvalue ``k``
+is the midpoint of the one grid cell across which the count passes
+``k``.  The computed count rises with ``x``, so that cell is the same
+whichever grid points were counted on the way to it: one step counts at
+any sorted grid points in one sweep and moves every bracket into the
+cell they show (``_narrow``).  A caller that already holds a guess at the
+spectrum, as a round trip does, can pass it, and a ladder of grid points
+around each guess is counted first; the multisection then splits the
+cells left until each spans one grid step.  The eigenvalues are the same
+to the last bit whatever the guess.  The Sturm chain sweeps its rows in
+fixed-size blocks without its guard (the pivot clamp), then checks the
+guard once per block; a block where it fires runs the same rows again
+from its entry pivot with the clamp on every row, so the counts are
+those of the row-by-row chain to the last bit.
 
 The eigenvectors come from the same pivots, in one kernel (``_twisted``).
 At a node ``x`` the downward pivots ``d+`` are the Sturm chain's, the
@@ -80,9 +70,14 @@ from .polynomials import Polynomial
 # more levels per pass of the recurrence but counts at more points per
 # level.  Timed over the powers of two from 128 to 2048, 512 was fastest
 # at 11, 32 and 64 points and no width won at every size up to 513; any
-# width gives the same brackets.  From 171 points on (512 // 171 < 3)
-# each sweep is a single bisection step.
+# width gives the same eigenvalues.  From 171 distinct cells on
+# (512 // 171 < 3) each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
+# Grid offsets counted around each guess: a guess within 2**5 grid steps
+# of its eigenvalue leaves a cell that one multisection sweep of a small
+# matrix finishes, and one farther off still spares the levels above its
+# rung.
+_LADDER = np.array([0] + [s << j for j in range(0, 51, 5) for s in (-1, 1)])
 # Most values in one block of the Sturm chain: a block of rows is swept
 # before its guard is checked, once.
 _BLOCK = 1 << 15
@@ -397,7 +392,8 @@ def _sturm_count(rows: _Rows, xs: np.ndarray) -> np.ndarray:
     monotone in ``x`` (Kahan 1966; Demmel, Dhillon & Ren, *ETNA* 3,
     1995).  A folded count is the sum of the counts of its two blocks,
     each the shared rows followed by one tail row, so it is monotone too.
-    ``_bisect`` reads its brackets off by count rank on the strength of it.
+    ``_narrow`` reads every bracket's cell off by count rank on the
+    strength of it.
 
     At small N the cost is the number of NumPy calls per row, not the
     arithmetic, so the chain runs through the shared rows in blocks of at
@@ -409,8 +405,8 @@ def _sturm_count(rows: _Rows, xs: np.ndarray) -> np.ndarray:
     clamp on every row (``_pivots``), which is exactly the row-by-row
     chain.  The negative pivots of a block are counted at once.  The
     points themselves are taken in chunks of at most ``_BLOCK``, so that
-    no block exceeds it.  ``_bisect`` and ``_follow`` call it, under
-    ``eigenvalues``'s ``np.errstate``.
+    no block exceeds it.  ``_narrow`` calls it, under ``eigenvalues``'s
+    ``np.errstate``.
     """
     b, ul, pivmin = rows.b, rows.ul, rows.pivmin
     m = min(xs.size, _BLOCK)
@@ -466,144 +462,82 @@ def _pivot_rows(first: int, d: np.ndarray, ul: list, prev: np.ndarray, clamp=Non
         prev = row
 
 
-def _bisect(rows: _Rows, lo: np.ndarray, hi: np.ndarray, rem: np.ndarray) -> None:
-    """Take ``rem[k]`` more bisection steps on bracket ``k``, in place.
+def _narrow(rows: _Rows, q: float, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Count at the grid points ``pts`` and move every bracket into its cell, in place.
 
-    Bracket ``k`` holds eigenvalue ``k``.  Each multisection sweep lays
-    out the first ``depth`` levels of every unfinished bracket's
-    bisection tree as a row of ``2**depth + 1`` points, each midpoint
-    rounded as ``0.5 * (left + right)`` of its own parent interval:
-    as many levels as fit in ``_SWEEP_WIDTH`` points, and no more than
-    the most any bracket has left.  One Sturm sweep counts at every
-    interior point.  The counts rise along a row, so the leaf that
-    step-by-step bisection reaches is the number of the row's points
-    that count at most ``k`` eigenvalues below them.  A bracket with
-    ``t < depth`` levels left stops at that leaf's ancestor ``t`` levels
-    down: the leaf index with its low ``depth - t`` bits cleared.  Every
-    bracket so takes its own levels, and its ends are the same to the
-    last bit as step-by-step bisection's.
+    Bracket ``k`` is the grid cell ``[lo[k], hi[k]]``: at most ``k``
+    eigenvalues count below ``lo[k] * q`` and more than ``k`` below
+    ``hi[k] * q``.  ``pts`` is non-decreasing and lies strictly inside the
+    starting cell, whose ends are never counted; its counts rise with it,
+    and one ``searchsorted`` finds for every bracket the last point that
+    counts at most ``k`` and the first that counts more.  The bracket
+    moves to them where they lie inside it.
     """
-    live = np.flatnonzero(rem)
-    while live.size:
-        # the deepest tree whose live.size * (2**depth - 1) midpoints fit in one sweep
-        fit = max(1, (_SWEEP_WIDTH // live.size + 1).bit_length() - 1)
-        depth = min(fit, int(np.max(rem[live])))
-        span = 1 << depth
-        grid = np.empty((live.size, span + 1))
-        grid[:, 0], grid[:, span] = lo[live], hi[live]
-        step = span
-        while step > 1:
-            half = step // 2
-            grid[:, half::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
-            step = half
-        cnt = _sturm_count(rows, grid[:, 1:-1].ravel()).reshape(live.size, span - 1)
-        skip = depth - np.minimum(rem[live], depth)
-        pos = np.count_nonzero(cnt <= live[:, None], axis=1) >> skip << skip
-        at = np.arange(live.size)
-        lo[live], hi[live] = grid[at, pos], grid[at, pos + (1 << skip)]
-        rem[live] -= depth - skip
-        live = live[rem[live] > 0]
+    at = np.searchsorted(_sturm_count(rows, pts * q), np.arange(lo.size), side="right")
+    # lo and hi never decrease in k: their first and last entries bound every bracket
+    ends = np.concatenate((lo[:1], pts, hi[-1:]))
+    np.maximum(lo, ends[at], out=lo)
+    np.minimum(hi, ends[at + 1], out=hi)
 
 
-def _follow(rows: _Rows, x: np.ndarray, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            rem: np.ndarray) -> None:
-    """Bisect brackets ``ks`` along the paths the guesses ``x`` predict, checking every step.
-
-    Bracket ``ks[j]`` has ``rem[ks[j]] > 0`` levels to go.  Its path is
-    the one bisection would take if its eigenvalue were ``x[j]``: one
-    midpoint per level, each rounded as ``0.5 * (lo + hi)`` of its
-    parent.  One Sturm sweep counts at every path point.  The bracket
-    takes the counted side at each level up to and including the first
-    level whose count contradicts the guess, so every step it keeps is
-    the step bisection takes, whatever the guess; ``lo``, ``hi`` and
-    ``rem`` are updated in place.
-    """
-    cols = np.arange(ks.size)
-    levels = int(np.max(rem[ks]))
-    # rows: the ends on entry, then the midpoint of each level
-    ends = np.empty((levels + 2, ks.size))
-    ends[0], ends[1] = lo[ks], hi[ks]
-    guess = np.empty((levels, ks.size), dtype=bool)
-    l, h = ends[0], ends[1]
-    for mid, right in zip(ends[2:], guess):
-        np.add(l, h, out=mid)
-        mid *= 0.5
-        np.less_equal(mid, x, out=right)
-        l = np.where(right, mid, l)
-        h = np.where(right, h, mid)
-    counted = _sturm_count(rows, ends[2:].ravel()).reshape(levels, ks.size) <= ks
-    row = np.arange(2, levels + 2)[:, None]
-    # a bracket's last level, in row rem + 1, is taken whether or not its guess was wrong
-    stop = np.argmax((counted != guess) | (row == rem[ks] + 1), axis=0)
-    taken = row <= stop + 2
-    # each end is the midpoint of the last taken level that moved it
-    lo[ks] = ends[np.max((taken & counted) * row, axis=0), cols]
-    hi[ks] = ends[np.max((taken > counted) * row, axis=0, initial=1), cols]
-    rem[ks] -= stop + 1
-
-
-def _start(b: np.ndarray, u: np.ndarray) -> tuple[float, float, float]:
-    """The bisection's starting interval ``[lo0, hi0]`` and its final width.
+def _start(b: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """The bisection's starting interval ``[lo0, hi0]``.
 
     The interval is the row-wise Gershgorin one,
     ``[min(b_i - a_i - a_{i+1}), max(b_i + a_i + a_{i+1})]``, padded by
-    ``2**-20`` of its width on each side; the width is
-    ``2**-54 * max(|lo0|, |hi0|)``, below the spacing of the doubles
-    near the larger end.  Scaling ``K`` by a power of two scales all three.
+    ``2**-20`` of its width on each side.  Scaling ``K`` by a power of
+    two scales both ends.
     """
     reach = np.append(np.sqrt(u), 0.0) + np.append(0.0, np.sqrt(u))
     lo0, hi0 = float(np.min(b - reach)), float(np.max(b + reach))
     pad = 2.0 ** -20 * (hi0 - lo0)
-    lo0, hi0 = lo0 - pad, hi0 + pad
-    return lo0, hi0, 2.0 ** -54 * max(abs(lo0), abs(hi0))
+    return lo0 - pad, hi0 + pad
 
 
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     """All eigenvalues of ``K``, strictly increasing.
 
-    Bisection on Sturm counts from the padded row-wise Gershgorin
-    interval down to a width of ``2**-54`` of its larger end (``_start``),
-    which is below the spacing of the doubles there; each eigenvalue is
-    the midpoint of its final bracket.  A matrix exactly mirror-symmetric
+    Bisection on Sturm counts over the grid ``q Z``, where
+    ``q = 2**(e - 55)`` and ``2**e`` is the least power of two above
+    both ends of the padded row-wise Gershgorin interval ``[lo0, hi0]``
+    (``_start``), so that ``q`` lies below the spacing of the doubles
+    there.  Grid point ``i`` is ``float(i) * q``.  Each bracket is a cell
+    ``[lo, hi]`` of grid indices, from the starting cell
+    ``[floor(lo0 / q), ceil(hi0 / q)]`` down to one grid step:
+    eigenvalue ``k`` is the midpoint ``0.5 * q * lo + 0.5 * q * hi``
+    (halved before the sum, which then stays in range) for the last grid
+    point ``lo`` that counts at most ``k`` eigenvalues below it, the
+    starting cell's ends standing for counts of ``0`` and ``N + 1``.  The
+    computed count rises with ``x``, so that cell is the same whichever
+    points were counted to find it (``_narrow``).  The multisection splits
+    each distinct cell left into as many power-of-two parts as fit in
+    ``_SWEEP_WIDTH`` points a sweep.  A matrix exactly mirror-symmetric
     outside its centre (``_fold``: persymmetric matrices and their
     isospectral deformations, ``hl`` and ``mf`` reconstructions) is
     counted on its folded rows, its upper half counting twice and one
     tail row for each mirror class, at about half the cost of the whole
-    chain; its eigenvalues are bisection on that count, the sum of the
-    counts of the two blocks of the mirror split.  One entry off by an
-    ulp outside the centre, and the whole chain is counted, as it is
-    when the two centre couplings of an even ``N`` sum past the double
-    range.  Every step
-    is one Sturm count, so scaling ``K`` by a power of two scales the
-    result exactly, as long as every value stays in the normal double
-    range and no pivot meets the clamp.  The bisection runs as a
-    multisection: one Sturm sweep evaluates the next several levels of
-    every unfinished bracket's bisection tree at once, as many as fit in ``_SWEEP_WIDTH``
-    points, each bracket takes as many of them as it has left, and the
-    brackets are exactly those that one midpoint per sweep would give.
-    No dense matrix is formed.  Positive ``u_n`` guarantee the
-    eigenvalues are simple, but two of them closer than the spacing of
-    the doubles can round to the same double (Wilkinson's ``W_31^+`` is
-    one such matrix, and most random persymmetric matrices from about 50
-    points up have such a pair, one eigenvalue of each mirror class);
-    that raises ``NumericalError`` ("eigenvalues failed to separate"), and
-    so does a starting interval wider than the double range.
+    chain; the count is the sum of the counts of the two blocks of the
+    mirror split.  One entry off by an ulp outside the centre, and the
+    whole chain is counted, as it is when the two centre couplings of an
+    even ``N`` sum past the double range.  Scaling ``K`` by a power of
+    two scales the result exactly, as long as every value stays in the
+    normal double range and no pivot meets the clamp.  No dense matrix
+    is formed.  Positive ``u_n`` guarantee the eigenvalues are simple,
+    but two of them closer than the spacing of the doubles can round to
+    the same double (Wilkinson's ``W_31^+`` is one such matrix, and most
+    random persymmetric matrices from about 50 points up have such a
+    pair, one eigenvalue of each mirror class); that raises
+    ``NumericalError`` ("eigenvalues failed to separate"), and so does a
+    starting interval wider than the double range.
 
     ``near``, if given, is a guess at the spectrum with one value per
     eigenvalue, such as the spectrum a reconstruction was built from.
-    Every bracket first follows the bisection path its guess predicts,
-    all paths counted in one Sturm sweep, and keeps the counted steps up
-    to the first one the guess got wrong.  A bracket so repaired whose
-    guess lies within one final bracket width of the midpoint it crossed
-    follows the path toward its guess once more, in one more sweep: that
-    midpoint lies between guess and eigenvalue, so the path heads for
-    it and takes nearly all the levels left (the middle point of an odd
-    equally spaced spectrum sits on the first midpoint).  The
-    multisection finishes the rest.  Every step kept is backed by its
-    own count, so the result, error or not, is the same to the last bit
-    for every guess.  A guess right to the bracket width leaves little
-    multisection, one right to a few digits saves that many levels of
-    it, and a useless guess costs one path sweep.
+    Each guess, on the grid and inside the starting cell, is counted
+    with the fixed offsets ``_LADDER`` around it, all in one sweep,
+    before the multisection: a guess within ``2**5`` grid steps of its
+    eigenvalue leaves a cell at most that wide.  The result, error or
+    not, is the same to the last bit for every guess, and a useless
+    guess costs that one sweep.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -614,23 +548,30 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     if n1 == 1:
         return Spectrum(b)
     with np.errstate(all="ignore"):
-        lo0, hi0, width = _start(b, u)
+        lo0, hi0 = _start(b, u)
         if not hi0 - lo0 < np.inf:
             raise NumericalError("eigenvalues failed to separate: "
                                  "their Gershgorin interval spreads beyond double range")
         rows = _fold(b, u)
-        lo, hi = np.full(n1, lo0), np.full(n1, hi0)
-        rem = np.full(n1, int(np.ceil(np.log2((hi0 - lo0) / width))) + 1)
+        q = np.ldexp(1.0, np.frexp(max(abs(lo0), abs(hi0)))[1] - 55)
+        lo = np.full(n1, np.floor(lo0 / q), dtype=np.int64)
+        hi = np.full(n1, np.ceil(hi0 / q), dtype=np.int64)
         if near is not None:
-            _follow(rows, near, np.arange(n1), lo, hi, rem)
-            # a repaired bracket whose guess lies within one bracket width of
-            # it (of the midpoint its path crossed) follows that guess again
-            ks = np.flatnonzero(rem)
-            ks = ks[np.maximum(lo[ks] - near[ks], near[ks] - hi[ks]) <= width]
-            if ks.size:
-                _follow(rows, near[ks], ks, lo, hi, rem)
-        _bisect(rows, lo, hi, rem)
-        lam = 0.5 * (lo + hi)
+            at = np.clip(near / q, lo[0], hi[0]).astype(np.int64)
+            _narrow(rows, q, np.unique(np.clip(at[:, None] + _LADDER, lo[0] + 1, hi[0] - 1)),
+                    lo, hi)
+        while True:
+            # each distinct lo opens one cell
+            cell, first = np.unique(lo, return_index=True)
+            width = hi[first] - cell
+            cell, width = cell[width > 1, None], width[width > 1, None]
+            if not cell.size:
+                break
+            fit = max(1, (_SWEEP_WIDTH // cell.size + 1).bit_length() - 1)
+            parts = 1 << min(fit, (int(np.max(width)) - 1).bit_length())
+            step = (width * (np.arange(1, parts) / parts)).astype(np.int64)
+            _narrow(rows, q, (cell + np.clip(step, 1, width - 1)).ravel(), lo, hi)
+        lam = 0.5 * q * lo + 0.5 * q * hi
     try:
         return Spectrum(lam)
     except ValueError as exc:

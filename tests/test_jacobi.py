@@ -206,6 +206,19 @@ class TestEigenvalues:
             with pytest.raises(NumericalError):
                 eigenvalues(MonicJacobi(b, u))
 
+    def test_eigenvalues_above_half_the_largest_double(self):
+        # the midpoint of a cell is halved before the sum, which would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigenvalues(MonicJacobi([1.5e308, 1e308], [1.0])).values
+        assert got.tolist() == [1e308, 1.5e308]
+
+    def test_eigenvalues_rounding_to_one_double_at_a_point_interval(self):
+        # the padded Gershgorin interval is a single double, and both
+        # eigenvalues, 1e300 -+ 1, round to it
+        with pytest.raises(NumericalError, match="failed to separate"):
+            eigenvalues(MonicJacobi([1e300, 1e300], [1.0]))
+
     def test_diagonal_shift_equivariance(self):
         rng = np.random.default_rng(3002)
         b = rng.uniform(-1.0, 1.0, 7)
@@ -231,9 +244,10 @@ class TestEigenvalues:
         assert np.max(np.abs(eigenvalues(_equally_spaced(n, 0.0)).values - want)) <= 1e-12
 
 
-# Reference forward solver: plain bisection with one Sturm count per
-# bracket per sweep from the same start to the same width, and the
-# twisted factorization row by row.  A matrix exactly mirror-symmetric
+# Reference forward solver: plain bisection at integer midpoints of the
+# same grid, one Sturm count per bracket per sweep, from the same
+# starting cell down to one grid step, and the twisted factorization
+# row by row.  A matrix exactly mirror-symmetric
 # outside its centre is counted as its two mirror blocks, each built out
 # and run row by row, their counts summed.  ``eigenvalues`` and
 # ``weights_general`` evaluate the same roundings in a different order of
@@ -297,23 +311,33 @@ def _ref_start(b, u):
     return lo0 - pad, hi0 + pad
 
 
+def _ref_grid_step(lo0, hi0):
+    """The solver's grid step ``q = 2**(e - 55)``, ``2**e`` the least power
+    of two above both ends of the starting interval."""
+    return 2.0 ** (math.frexp(max(abs(lo0), abs(hi0)))[1] - 55)
+
+
 def _ref_eigenvalues(k: MonicJacobi) -> np.ndarray:
+    """Every bracket on its own, all at once: bisection at integer midpoints
+    of the grid ``q Z``, from the starting cell down to one grid step."""
     b, u = k.b, k.u
     n1 = b.size
     if n1 == 1:
         return b.copy()
     lo0, hi0 = _ref_start(b, u)
-    width = max(abs(lo0), abs(hi0)) / 2.0 ** 54
+    q = _ref_grid_step(lo0, hi0)
     pivmin = 1e-292 * max(1.0, float(np.max(u)))
     ks = np.arange(n1)
-    lo, hi = np.full(n1, lo0), np.full(n1, hi0)
-    for _ in range(int(np.ceil(np.log2((hi0 - lo0) / width))) + 1):
-        mid = 0.5 * (lo + hi)
-        low_side = _ref_count(k, mid, pivmin) <= ks
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
+    lo = np.full(n1, math.floor(lo0 / q), dtype=np.int64)
+    hi = np.full(n1, math.ceil(hi0 / q), dtype=np.int64)
+    while np.any(hi - lo > 1):
+        live = np.flatnonzero(hi - lo > 1)
+        mid = (lo[live] + hi[live]) // 2
+        low_side = _ref_count(k, mid * q, pivmin) <= ks[live]
+        lo[live] = np.where(low_side, mid, lo[live])
+        hi[live] = np.where(low_side, hi[live], mid)
     try:
-        return Spectrum(0.5 * (lo + hi)).values
+        return Spectrum(0.5 * q * lo + 0.5 * q * hi).values
     except ValueError as exc:
         raise NumericalError(f"eigenvalues failed to separate: {exc}") from exc
 
@@ -393,7 +417,8 @@ def _late_rescale() -> MonicJacobi:
 def _zero_pivots_in_two_blocks() -> MonicJacobi:
     """301 points whose first Sturm sweep, at ``x = 0`` exactly as in
     ``_late_zero_pivot``, meets exactly zero pivots in two blocks of rows
-    (the sweep's blocks start at rows 0, 108 and 216).  The pivots
+    (the sweep's blocks start every 64 rows: 150 lies in the third, 300 in
+    the fifth).  The pivots
     alternate ``+1, -1, ...`` from ``b_0 = 1``; ``b_150 = -1`` cancels row
     150's, whose clamped ``-pivmin`` makes row 151's ``1e292``; ``b_152 = 1``
     then restarts the alternation at ``+1``, and ``b_N = -1`` cancels the
@@ -415,24 +440,24 @@ def _mirrored(n1: int, entries) -> MonicJacobi:
 def _late_zero_pivot_mirrored() -> MonicJacobi:
     """399 points whose folded first Sturm sweep, at ``x = 0`` exactly,
     meets an exactly zero pivot in its last shared row, 198, past the
-    first block of shared rows (the sweep's blocks start at rows 0, 82 and
-    164).  As in ``_late_zero_pivot`` the pivots alternate ``+1, -1, ...``
+    first block of shared rows (the sweep's blocks start every 64 rows,
+    the last at 192).  As in ``_late_zero_pivot`` the pivots alternate ``+1, -1, ...``
     from ``b_0 = 1`` until ``b_198 = -1`` cancels row 198's; ``b_199 = 1``
     at the centre centres the starting bracket."""
     return _mirrored(399, [(0, 1.0), (198, -1.0), (199, 1.0)])
 
 
 def _zero_pivots_in_two_blocks_mirrored() -> MonicJacobi:
-    """577 points whose folded first Sturm sweep, at ``x = 0`` exactly,
+    """529 points whose folded first Sturm sweep, at ``x = 0`` exactly,
     meets exactly zero pivots in two blocks of shared rows (the sweep's
-    blocks start every 56 rows, the last at 280).  The pivots alternate
-    from ``b_0 = 1``; ``b_279 = 1`` cancels row 279's, whose clamped
-    ``-pivmin`` makes row 280's ``1e292``; ``b_281 = -1`` restarts the
-    alternation at ``-1``, and ``b_287 = 1`` cancels the last shared pivot.
-    The entries lie within 9 rows of the centre row 288, so the states
-    they bind and their mirror images stay apart: bound far from it, such
-    a pair rounds to one double."""
-    return _mirrored(577, [(0, 1.0), (279, 1.0), (281, -1.0), (287, 1.0)])
+    511 points run in blocks of 64 rows, the last two from rows 192 and
+    256).  The pivots alternate from ``b_0 = 1``; ``b_255 = 1`` cancels
+    row 255's, whose clamped ``-pivmin`` makes row 256's ``1e292``;
+    ``b_257 = -1`` restarts the alternation at ``-1``, and ``b_263 = 1``
+    cancels the last shared pivot.  The entries lie within 9 rows of the
+    centre row 264, so the states they bind and their mirror images stay
+    apart: bound far from it, such a pair rounds to one double."""
+    return _mirrored(529, [(0, 1.0), (255, 1.0), (257, -1.0), (263, 1.0)])
 
 
 def _far_scale_blocks() -> MonicJacobi:
@@ -658,17 +683,17 @@ class TestFoldedEigenvalues:
         assert np.max(np.abs(got)) <= 2.0 * math.sqrt(1.44e308)
 
 
-def _width(k: MonicJacobi) -> float:
-    """The solver's final bracket width for ``k``."""
-    return jacobi._start(k.b, k.u)[2]
+def _grid_step(k: MonicJacobi) -> float:
+    """The solver's grid step for ``k``."""
+    return _ref_grid_step(*jacobi._start(k.b, k.u))
 
 
 def _guides(k: MonicJacobi, x: np.ndarray) -> list[np.ndarray]:
     """Guesses at the spectrum ``x`` of ``k``: exact, a few ulps off, off by
-    the bracket width either way, far off, all zeros and in reverse order."""
+    the grid step either way, far off, all zeros and in reverse order."""
     ulps = 3.0 * np.spacing(np.abs(x))
     far = 1e-3 * max(1.0, float(np.max(np.abs(x))))
-    return [x, x + ulps, x - ulps, x + _width(k), x - _width(k),
+    return [x, x + ulps, x - ulps, x + _grid_step(k), x - _grid_step(k),
             x + far, np.zeros_like(x), x[::-1]]
 
 
@@ -686,20 +711,12 @@ def _sweeps(monkeypatch, rows: bool = False) -> list:
     return seen
 
 
-def _bisect_calls(monkeypatch, sweeps: list) -> list[tuple]:
-    """Every ``_bisect`` call from here on: its live brackets, their ends
-    on entry, and the sweeps it made (read off ``sweeps``)."""
-    calls = []
-    inner = jacobi._bisect
-
-    def spy(rows, lo, hi, rem):
-        live = np.flatnonzero(rem)
-        entry, first = (live, lo[live].copy(), hi[live].copy()), len(sweeps)
-        inner(rows, lo, hi, rem)
-        calls.append((*entry, sweeps[first:]))
-
-    monkeypatch.setattr(jacobi, "_bisect", spy)
-    return calls
+def _random_gap_reconstruction(n1: int, seed: int = 0):
+    """``hl``'s matrix for ``n1`` points with random gaps, and the points."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n1 - 1))))
+    x = 2.0 * x / x[-1] - 1.0
+    return reconstruct_half_lattice(Spectrum(x)), x
 
 
 class TestGuidedEigenvalues:
@@ -729,106 +746,68 @@ class TestGuidedEigenvalues:
             with pytest.raises(ValueError):
                 eigenvalues(MonicJacobi([5.0], []), near=near)
 
-    @staticmethod
-    def _reconstruction():
-        rng = np.random.default_rng(0)
-        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 10))))
-        x = 2.0 * x / x[-1] - 1.0
-        return reconstruct_half_lattice(Spectrum(x)), x
-
-    @staticmethod
-    def _levels(k):
-        """Bisection levels from the starting interval down to the bracket width."""
-        lo0, hi0, width = jacobi._start(k.b, k.u)
-        return int(np.ceil(np.log2((hi0 - lo0) / width))) + 1
-
-    def test_own_spectrum_needs_the_path_sweep_and_two_short_ones(self, monkeypatch):
-        k, x = self._reconstruction()
-        sweeps = _sweeps(monkeypatch)
-        eigenvalues(k, near=x)
-        # one path for every bracket, every level of it counted at once; the
-        # eigenvalues lie a few bracket widths off the spectrum the matrix was
-        # built from, so some paths go wrong in their last levels, and the
-        # second path and the multisection each finish them in one sweep,
-        # the two together shorter than one path
-        assert len(sweeps) == 3
-        assert sweeps[0].size == self._levels(k) * x.size
-        assert sweeps[1].size + sweeps[2].size < self._levels(k)
-
-    def test_guess_off_by_half_the_bracket_width_repairs_late(self, monkeypatch):
-        k, _ = self._reconstruction()
-        want = eigenvalues(k).values
-        sweeps = _sweeps(monkeypatch)
-        eigenvalues(k, near=want + 0.5 * _width(k))
-        # later sweeps finish the repaired brackets, which their paths have
-        # already brought within 2**5 bracket widths of the eigenvalues
-        assert len(sweeps) > 1
-        later = np.concatenate(sweeps[1:])
-        assert np.max(np.min(np.abs(later[:, None] - want), axis=1)) <= 32 * _width(k)
-
-    def test_point_at_the_first_midpoint_is_finished_in_its_bracket(self, monkeypatch):
-        # a symmetric spectrum: the middle point is the starting interval's
-        # midpoint, and its guess lies on the wrong side of it at level 0
-        x = np.linspace(-1.0, 1.0, 11)
-        k = reconstruct_half_lattice(Spectrum(x))
+    @pytest.mark.parametrize("spectrum", ["random-gap", "equally-spaced"])
+    def test_own_spectrum_needs_at_most_two_sweeps_at_11_points(self, monkeypatch, spectrum):
+        # the reconstruction's eigenvalues lie a few ulps off the points it
+        # was built from: the ladder sweep leaves each in a cell that one
+        # multisection sweep finishes.  The middle point of the equally
+        # spaced spectrum is the midpoint of the starting interval.
+        if spectrum == "random-gap":
+            k, x = _random_gap_reconstruction(11)
+        else:
+            x = np.linspace(-1.0, 1.0, 11)
+            k = reconstruct_half_lattice(Spectrum(x))
         want = eigenvalues(k).values
         sweeps = _sweeps(monkeypatch)
         assert eigenvalues(k, near=x).values.tobytes() == want.tobytes()
-        # after every bracket's path the middle bracket is left in the half
-        # of the starting interval, beyond the midpoint 0, that holds its
-        # eigenvalue, and a few others within 2**5 bracket widths of theirs
-        # (the eigenvalues lie a few widths off x); together they need
-        # fewer points than one multisection sweep
-        later = np.concatenate(sweeps[1:])
-        mid = x.size // 2
-        lo, hi = (-np.inf, 0.0) if want[mid] <= 0.0 else (0.0, np.inf)
-        others = np.min(np.abs(later[:, None] - np.delete(want, mid)), axis=1)
-        assert 0 < later.size < jacobi._SWEEP_WIDTH
-        assert np.all(((later > lo) & (later < hi)) | (others <= 32 * _width(k)))
+        assert len(sweeps) <= 2
 
-    def test_partly_right_guess_shortens_the_multisection(self, monkeypatch):
-        # a guess right to about nine digits: each path holds for some 30
-        # levels, which the multisection then need not take
-        k, _ = self._reconstruction()
+    def test_guess_counts_fewer_points_than_no_guess_at_129_points(self, monkeypatch):
+        # a guess right to the last few ulps, and one right to about nine
+        # digits, which still spares the levels above its rung of the ladder
+        k, x = _random_gap_reconstruction(129)
         sweeps = _sweeps(monkeypatch)
-        calls = _bisect_calls(monkeypatch, sweeps)
         want = eigenvalues(k).values
-        assert eigenvalues(k, near=want + 1e-9).values.tobytes() == want.tobytes()
-        unguided, guided = (sum(s.size for s in call[3]) for call in calls)
-        assert guided < unguided
-
-    def test_path_sweep_larger_than_one_block(self, monkeypatch):
-        # 56 path points for each of 700 brackets: more than one block holds
-        rng = np.random.default_rng(3011)
-        k = MonicJacobi(rng.uniform(-1.0, 1.0, 700), rng.uniform(0.1, 1.4, 699))
-        want = eigenvalues(k).values
-        sweeps = _sweeps(monkeypatch)
-        for g in (want, want + 0.5 * _width(k)):
+        unguided = sum(s.size for s in sweeps)
+        for g in (x, want + 1e-9):
+            sweeps.clear()
             assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
-        assert max(s.size for s in sweeps) > jacobi._BLOCK
+            assert sum(s.size for s in sweeps) < unguided
 
+    def test_ladder_sweep_larger_than_one_block(self, monkeypatch):
+        # 23 ladder points for each of 1500 brackets: more than one block holds
+        rng = np.random.default_rng(3011)
+        k = MonicJacobi(rng.uniform(-1.0, 1.0, 1500), rng.uniform(0.1, 1.4, 1499))
+        want = eigenvalues(k).values
+        sweeps = _sweeps(monkeypatch)
+        for g in (want, want + _grid_step(k)):
+            sweeps.clear()
+            assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
+            assert sweeps[0].size > jacobi._BLOCK
 
-def _sweeps_at_the_fewest_levels(rem) -> int:
-    """Sweeps of a multisection whose every sweep takes the same number of
-    levels of all unfinished brackets, the fewest any of them has left."""
-    left, sweeps = sorted(r for r in rem if r), 0
-    while left:
-        fit = max(1, (jacobi._SWEEP_WIDTH // len(left) + 1).bit_length() - 1)
-        depth = min(fit, left[0])
-        left, sweeps = [r - depth for r in left if r > depth], sweeps + 1
-    return sweeps
+    @pytest.mark.parametrize("far", [1e300, 1.7e308, -1.7e308])
+    def test_guess_at_the_ends_of_the_double_range(self, far):
+        # the guesses are clipped into the starting cell before they turn
+        # into grid indices, so nothing overflows and nothing warns
+        k, _ = _random_gap_reconstruction(11)
+        want = eigenvalues(k).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigenvalues(k, near=np.full(want.size, far)).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMultisection:
     def test_sturm_count_is_monotone(self):
-        # ``_bisect`` reads each bracket's leaf off by count rank
+        # the property the solver rests on: ``_narrow`` reads every
+        # bracket's cell off by count rank, whichever points it counts
         ulps = np.arange(-60.0, 61.0)
         rel = np.linspace(-1e-12, 1e-12, 41)
         for k in _forward_family():
             x = eigenvalues(k).values
             scale = float(np.max(np.abs(x)))
             # the first midpoint too: the zero-pivot members meet their clamp there
-            lo0, hi0, _ = jacobi._start(k.b, k.u)
+            lo0, hi0 = jacobi._start(k.b, k.u)
             mid = 0.5 * (lo0 + hi0)
             centres = np.append(x, mid)
             pts = np.unique(np.concatenate((
@@ -838,30 +817,37 @@ class TestMultisection:
                 cnt = jacobi._sturm_count(jacobi._fold(k.b, k.u), pts)
             assert np.all(np.diff(cnt) >= 0), k.n
 
-    def test_brackets_take_their_own_levels(self, monkeypatch):
-        rng = np.random.default_rng(3013)
-        k = MonicJacobi(rng.uniform(-1.0, 1.0, 12), rng.uniform(0.1, 1.4, 11))
-        b, u = k.b, k.u
-        rem = np.array([48, 0, 1, 2, 3, 5, 8, 13, 21, 34, 40, 6])
-        lo0, hi0 = _ref_start(b, u)
-        # step by step: one midpoint per level of every bracket with levels left
-        ks = np.arange(b.size)
-        want_lo, want_hi = np.full(b.size, lo0), np.full(b.size, hi0)
-        pivmin = 1e-292 * max(1.0, float(np.max(u)))
-        for level in range(int(np.max(rem))):
-            mid = 0.5 * (want_lo + want_hi)
-            low_side = _ref_sturm_count(b, u, mid, pivmin) <= ks
-            step = rem > level
-            want_lo = np.where(step & low_side, mid, want_lo)
-            want_hi = np.where(step & ~low_side, mid, want_hi)
-        lo, hi, left = np.full(b.size, lo0), np.full(b.size, hi0), rem.copy()
-        sweeps = _sweeps(monkeypatch)
-        with np.errstate(all="ignore"):
-            jacobi._bisect(jacobi._fold(b, u), lo, hi, left)
-        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-        assert not np.any(left)
-        # no sweep waits on the bracket with the fewest levels left: 8 sweeps against 13
-        assert len(sweeps) < _sweeps_at_the_fewest_levels(rem)
+    def test_any_counted_points_leave_the_same_bits(self, monkeypatch):
+        # random subsets of the points an unguided solve counts, and random
+        # grid points near the eigenvalues and anywhere in the starting
+        # cell, counted before the multisection: the cells it ends in, and
+        # so the bits, are the same
+        rng = np.random.default_rng(3014)
+        inner = jacobi._narrow
+        for k in _forward_family():
+            seen, extra = [], []
+
+            def spy(r, q, pts, lo, hi):
+                seen.append(pts)
+                if extra:
+                    inner(r, q, extra.pop(), lo, hi)
+                inner(r, q, pts, lo, hi)
+
+            monkeypatch.setattr(jacobi, "_narrow", spy)
+            want = eigenvalues(k).values
+            if not seen:
+                continue
+            counted = np.unique(np.concatenate(seen))
+            lo0, hi0 = jacobi._start(k.b, k.u)
+            q = _ref_grid_step(lo0, hi0)
+            cell = (math.floor(lo0 / q) + 1, math.ceil(hi0 / q))
+            for _ in range(3):
+                near = np.floor(want / q).astype(np.int64)[:, None] + rng.integers(-40, 41, 5)
+                extra.append(np.unique(np.clip(np.concatenate((
+                    rng.choice(counted, int(rng.integers(1, counted.size + 1)), replace=False),
+                    near.ravel(), rng.integers(*cell, 20))), cell[0], cell[1] - 1)))
+                assert eigenvalues(k).values.tobytes() == want.tobytes(), k.n
+                assert not extra
 
 
 # ----------------------------------------------------------------------
