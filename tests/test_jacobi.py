@@ -460,6 +460,11 @@ def _zero_pivots_in_two_blocks_mirrored() -> MonicJacobi:
     return _mirrored(529, [(0, 1.0), (255, 1.0), (257, -1.0), (263, 1.0)])
 
 
+# the fixtures whose first Sturm sweep meets exactly zero pivots
+_ZERO_PIVOTS = [_late_zero_pivot, _zero_pivots_in_two_blocks, _late_zero_pivot_mirrored,
+                _zero_pivots_in_two_blocks_mirrored]
+
+
 def _far_scale_blocks() -> MonicJacobi:
     """300 random points scaled by 1e-6: ``|P_n|`` at the eigenvalues
     shrinks by about 1e-6 a row, while the pivots stay near 1e-6."""
@@ -493,6 +498,18 @@ def _forward_family():
     yield _late_zero_pivot_mirrored()
     yield _zero_pivots_in_two_blocks_mirrored()
     yield _far_scale_blocks()
+    # the 32-point deformations the secant steps finish in half the sweeps:
+    # folded, and one ulp off the mirror, counted on the whole chain
+    for theta in rng.uniform(0.1, 0.6, 3):
+        deformed = _deformed(_random_persymmetric(rng, 31), theta).to_monic()
+        yield deformed
+        b = deformed.b.copy()
+        b[0] = np.nextafter(b[0], np.inf)
+        yield MonicJacobi(b, deformed.u)
+    # scaled by powers of two to near both ends of the double range
+    b, a = rng.uniform(-1.0, 1.0, 32), rng.uniform(0.3, 1.2, 31)
+    for k in (-500, -80, 80, 500):
+        yield MonicJacobi(np.ldexp(b, k), np.ldexp(a * a, 2 * k))
 
 
 def _guarded_starts(monkeypatch, rows: str) -> list[int]:
@@ -515,8 +532,8 @@ class TestForwardSolverBits:
         chunked = 0
         for k in _forward_family():
             want = _ref_eigenvalues(k)
-            got = eigenvalues(k).values
-            assert got.tobytes() == want.tobytes(), k.n
+            got = eigenvalues(k)
+            assert got.values.tobytes() == want.tobytes(), k.n
             want_w = _ref_weights(k, want)
             if want_w is None:
                 with pytest.raises(NumericalError):
@@ -549,6 +566,58 @@ class TestForwardSolverBits:
         starts = _guarded_starts(monkeypatch, rows)
         eigenvalues(make())
         assert len(set(starts)) >= 2
+
+    @pytest.mark.parametrize("make", _ZERO_PIVOTS)
+    def test_pivots_match_the_reference_bit_for_bit(self, make):
+        # at x = 0, where the zero pivots lie, and at the eigenvalues, down
+        # the rows and up them, in one pass and in blocks of 64 rows
+        k = make()
+        x = np.concatenate(([0.0], eigenvalues(k).values))
+        pivmin = 1e-292 * max(1.0, float(np.max(k.u)))
+        for b, u in ((k.b, k.u), (k.b[::-1], k.u[::-1])):
+            want = np.array(_ref_pivots(b, u, x, pivmin))
+            for step in (b.size, 64):
+                d, prev = np.empty((b.size, x.size)), x
+                for first in range(0, b.size, step):
+                    # the unguarded pass divides by the zero pivots
+                    with np.errstate(all="ignore"):
+                        jacobi._pivots(b, u.tolist(), x, first, d[first:first + step], prev, pivmin)
+                    prev = d[min(first + step, b.size) - 1]
+                assert d.tobytes() == want.tobytes(), step
+
+    @pytest.mark.parametrize("make", _ZERO_PIVOTS)
+    def test_clamped_pass_starts_at_the_first_failing_row(self, monkeypatch, make):
+        # the rows above the first whose unclamped pivot fails the guard are
+        # kept from the unguarded pass, not run again
+        runs = []
+        inner_pivots, inner_rows = jacobi._pivots, jacobi._pivot_rows
+
+        def pivots_spy(b, ul, x, first, d, prev, pivmin):
+            runs.append((b, ul, x.copy(), first, d.shape[0], prev.copy(), pivmin, []))
+            inner_pivots(b, ul, x, first, d, prev, pivmin)
+
+        def rows_spy(first, d, ul, prev, clamp=None):
+            if clamp is not None:
+                runs[-1][-1].append(first)
+            inner_rows(first, d, ul, prev, clamp)
+
+        monkeypatch.setattr(jacobi, "_pivots", pivots_spy)
+        monkeypatch.setattr(jacobi, "_pivot_rows", rows_spy)
+        k = make()
+        weights_general(k, eigenvalues(k))
+        later = 0
+        for b, ul, x, first, rows, d, pivmin, starts in runs:
+            if not starts:
+                continue
+            # the row-by-row chain from the block's entry pivots, unclamped
+            # until the first row whose pivot fails the guard
+            for i in range(first, first + rows):
+                d = (b[i] - x) - ul[i - 1] / d if i else b[i] - x
+                if not np.all(np.abs(d) >= pivmin):
+                    break
+            assert starts == [i]
+            later += i > first
+        assert later >= 1
 
     def test_far_scale_forward_warns_nothing_and_matches_scipy(self):
         # persymmetric draws scaled by 1e100-1e120: no warning escapes, the
@@ -620,7 +689,7 @@ class TestFoldedEigenvalues:
             pts = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), rows.tail))
             pivmin = 1e-292 * max(1.0, float(np.max(k.u)))
             with np.errstate(all="ignore"):
-                got = jacobi._sturm_count(rows, pts)
+                got, _ = jacobi._sturm_count(rows, pts)
             assert np.array_equal(got, _ref_count(k, pts, pivmin)), k.n
         assert folded >= 20
 
@@ -642,7 +711,7 @@ class TestFoldedEigenvalues:
         k = _deformed(_random_persymmetric(np.random.default_rng(3022), n), 0.3).to_monic()
         half, paired = n // 2, (n + 1) // 2 - 1  # entries of b and of u above the centre
         moved = [("b", 0), ("b", n), ("b", half - 1), ("u", 0), ("u", n - 1), ("u", paired - 1)]
-        seen = _sweeps(monkeypatch, rows=True)
+        seen = _sweeps(monkeypatch, take=lambda rows, xs, scale: rows)
         for name, i in moved:
             b, u = k.b.copy(), k.u.copy()
             v = b if name == "b" else u
@@ -672,7 +741,7 @@ class TestFoldedEigenvalues:
         u[n // 2 - 1:n // 2 + 1] = 1.44e308
         k = MonicJacobi(k.b, u)
         assert _ref_blocks(k) is None
-        seen = _sweeps(monkeypatch, rows=True)
+        seen = _sweeps(monkeypatch, take=lambda rows, xs, scale: rows)
         got = eigenvalues(k).values
         assert {r.tail.size for r in seen} == {0}
         assert got.tobytes() == _ref_eigenvalues(k).tobytes()
@@ -690,22 +759,24 @@ def _grid_step(k: MonicJacobi) -> float:
 
 def _guides(k: MonicJacobi, x: np.ndarray) -> list[np.ndarray]:
     """Guesses at the spectrum ``x`` of ``k``: exact, a few ulps off, off by
-    the grid step either way, far off, all zeros and in reverse order."""
+    the grid step either way, far off, all zeros, in reverse order and at
+    either end of the double range."""
     ulps = 3.0 * np.spacing(np.abs(x))
     far = 1e-3 * max(1.0, float(np.max(np.abs(x))))
     return [x, x + ulps, x - ulps, x + _grid_step(k), x - _grid_step(k),
-            x + far, np.zeros_like(x), x[::-1]]
+            x + far, np.zeros_like(x), x[::-1], np.full_like(x, 1.7e308),
+            np.full_like(x, -1.7e308)]
 
 
-def _sweeps(monkeypatch, rows: bool = False) -> list:
-    """The points of every Sturm sweep from here on, in call order, or
-    with ``rows`` the rows each sweep counted on."""
+def _sweeps(monkeypatch, take=lambda rows, xs, scale: xs.copy()) -> list:
+    """The points of every Sturm sweep from here on, in call order, or what
+    ``take`` picks of the rows, points and scale of each."""
     seen = []
     inner = jacobi._sturm_count
 
-    def spy(r, xs):
-        seen.append(r if rows else xs.copy())
-        return inner(r, xs)
+    def spy(r, xs, scale=None):
+        seen.append(take(r, xs, scale))
+        return inner(r, xs, scale)
 
     monkeypatch.setattr(jacobi, "_sturm_count", spy)
     return seen
@@ -814,24 +885,26 @@ class TestMultisection:
                 (centres[:, None] + ulps * np.spacing(centres)[:, None]).ravel(),
                 (centres[:, None] + rel * scale).ravel())))
             with np.errstate(all="ignore"):
-                cnt = jacobi._sturm_count(jacobi._fold(k.b, k.u), pts)
+                cnt, _ = jacobi._sturm_count(jacobi._fold(k.b, k.u), pts)
             assert np.all(np.diff(cnt) >= 0), k.n
 
     def test_any_counted_points_leave_the_same_bits(self, monkeypatch):
         # random subsets of the points an unguided solve counts, and random
         # grid points near the eigenvalues and anywhere in the starting
-        # cell, counted before the multisection: the cells it ends in, and
-        # so the bits, are the same
+        # cell, counted before the multisection, every other time with the
+        # values that feed the secant steps: the cells it ends in, and so
+        # the bits, are the same
         rng = np.random.default_rng(3014)
         inner = jacobi._narrow
         for k in _forward_family():
             seen, extra = [], []
 
-            def spy(r, q, pts, lo, hi):
+            def spy(r, q, pts, cell, val, scale=None):
                 seen.append(pts)
                 if extra:
-                    inner(r, q, extra.pop(), lo, hi)
-                inner(r, q, pts, lo, hi)
+                    more, logs = extra.pop()
+                    inner(r, q, more, cell, val, np.ldexp(q, 55) if logs else None)
+                inner(r, q, pts, cell, val, scale)
 
             monkeypatch.setattr(jacobi, "_narrow", spy)
             want = eigenvalues(k).values
@@ -841,13 +914,150 @@ class TestMultisection:
             lo0, hi0 = jacobi._start(k.b, k.u)
             q = _ref_grid_step(lo0, hi0)
             cell = (math.floor(lo0 / q) + 1, math.ceil(hi0 / q))
-            for _ in range(3):
+            for trial in range(4):
                 near = np.floor(want / q).astype(np.int64)[:, None] + rng.integers(-40, 41, 5)
-                extra.append(np.unique(np.clip(np.concatenate((
+                extra.append((np.unique(np.clip(np.concatenate((
                     rng.choice(counted, int(rng.integers(1, counted.size + 1)), replace=False),
-                    near.ravel(), rng.integers(*cell, 20))), cell[0], cell[1] - 1)))
+                    near.ravel(), rng.integers(*cell, 20))), cell[0], cell[1] - 1)), trial % 2))
                 assert eigenvalues(k).values.tobytes() == want.tobytes(), k.n
                 assert not extra
+
+
+def _multisection_sweeps(k: MonicJacobi) -> int:
+    """Sweeps of the plain multisection, with no secant step: each distinct
+    open cell split into the most power-of-two parts whose inner points fit
+    in ``_SWEEP_WIDTH``, from the starting cell down to one grid step."""
+    b, u = k.b, k.u
+    if b.size == 1:
+        return 0
+    with np.errstate(all="ignore"):
+        lo0, hi0 = jacobi._start(b, u)
+        rows, q = jacobi._fold(b, u), _ref_grid_step(lo0, hi0)
+        lo = np.full(b.size, math.floor(lo0 / q), dtype=np.int64)
+        hi = np.full(b.size, math.ceil(hi0 / q), dtype=np.int64)
+        sweeps = 0
+        while True:
+            cell, first = np.unique(lo, return_index=True)
+            width = hi[first] - cell
+            cell, width = cell[width > 1, None], width[width > 1, None]
+            if not cell.size:
+                return sweeps
+            fit = max(1, (jacobi._SWEEP_WIDTH // cell.size + 1).bit_length() - 1)
+            parts = 1 << min(fit, (int(np.max(width)) - 1).bit_length())
+            step = (width * (np.arange(1, parts) / parts)).astype(np.int64)
+            pts = (cell + np.clip(step, 1, width - 1)).ravel()
+            cnt, _ = jacobi._sturm_count(rows, pts * q)
+            at = np.searchsorted(cnt, np.arange(b.size), side="right")
+            ends = np.concatenate((lo[:1], pts, hi[-1:]))
+            lo, hi = np.maximum(lo, ends[at]), np.minimum(hi, ends[at + 1])
+            sweeps += 1
+
+
+def _scales(monkeypatch) -> list:
+    """The ``scale`` of every Sturm sweep from here on: ``None`` where the
+    sweep counts only, and takes no ``log|det|``."""
+    return _sweeps(monkeypatch, take=lambda rows, xs, scale: scale)
+
+
+class TestSecantSteps:
+    """Secant steps on ``log|det(J - x)|`` inside isolated cells: fewer
+    sweeps, never more than the plain multisection, and the same bits."""
+
+    def test_log_det_is_the_sum_of_the_pivot_logs(self):
+        # against the row-by-row pivots of the blocks, or of the whole chain,
+        # at 40 points, so that one block of the chain holds every row: the
+        # value is exact wherever each partial product of the pivots stays
+        # in the normal double range
+        rng = np.random.default_rng(3015)
+        exact = 0
+        for k in _forward_family():
+            if k.b.size == 1:
+                continue
+            lo0, hi0 = jacobi._start(k.b, k.u)
+            scale = np.ldexp(_ref_grid_step(lo0, hi0), 55)
+            x = eigenvalues(k).values
+            pts = np.sort(np.concatenate((np.nextafter(rng.choice(x, min(x.size, 20)), np.inf),
+                                          rng.uniform(lo0, hi0, 20))))
+            pivmin = 1e-292 * max(1.0, float(np.max(k.u)))
+            want, inside = 0.0, True
+            for bb, uu in _ref_blocks(k) or [(k.b, k.u)]:
+                logs = np.cumsum([np.log(np.abs(d / scale)) for d in _ref_pivots(bb, uu, pts, pivmin)],
+                                 axis=0)
+                want, inside = want + logs[-1], inside & np.all(np.abs(logs) < 700.0, axis=0)
+            with np.errstate(all="ignore"):
+                cnt, got = jacobi._sturm_count(jacobi._fold(k.b, k.u), pts, scale)
+            assert np.array_equal(cnt, _ref_count(k, pts, pivmin)), k.n
+            assert np.allclose(got[inside], want[inside], rtol=1e-12, atol=1e-9), k.n
+            exact += int(np.sum(inside))
+        assert exact >= 3000
+
+    def test_no_family_member_takes_more_sweeps_than_plain_multisection(self, monkeypatch):
+        # the safeguard: each isolated cell still gets the multisection's points
+        sweeps = _sweeps(monkeypatch)
+        fewer = 0
+        for k in _forward_family():
+            plain = _multisection_sweeps(k)
+            sweeps.clear()
+            eigenvalues(k)
+            assert len(sweeps) <= plain, k.n
+            fewer += len(sweeps) < plain
+        assert fewer >= 40
+
+    @pytest.mark.parametrize("n1, bound, plain", [(11, 7, 11), (32, 7, 13), (129, 9, 25),
+                                                  (513, 13, 48)])
+    def test_unguided_sweeps(self, monkeypatch, n1, bound, plain):
+        k, _ = _random_gap_reconstruction(n1)
+        assert _multisection_sweeps(k) == plain
+        sweeps = _sweeps(monkeypatch)
+        eigenvalues(k)
+        assert len(sweeps) <= bound
+
+    @pytest.mark.parametrize("n1, most, points", [(11, 2, 470), (32, 3, 1005), (129, 3, 3685),
+                                                  (513, 6, 13109)])
+    def test_guided_sweeps_and_points_are_the_plain_multisections(self, monkeypatch, n1, most,
+                                                                  points):
+        # the round trip's guess leaves cells the multisection finishes, or
+        # so narrow that a secant step would not pay for its logs
+        k, x = _random_gap_reconstruction(n1)
+        sweeps = _sweeps(monkeypatch)
+        eigenvalues(k, near=x)
+        assert len(sweeps) <= most
+        assert sum(s.size for s in sweeps) <= points
+
+    @pytest.mark.parametrize("n1", [10, 11, 129, 513])
+    def test_guided_round_trip_takes_no_logs_on_its_ladder(self, monkeypatch, n1):
+        # guided by the spectrum it was built from, as ``verify`` checks a
+        # reconstruction, no sweep takes them up to 11 points; a guess off by
+        # about 1e-6 leaves cells wide enough for secant steps after it
+        if n1 == 10:
+            x = np.linspace(-1.0, 1.0, n1)
+            k = reconstruct_half_lattice(Spectrum(x))
+        else:
+            k, x = _random_gap_reconstruction(n1)
+        noise = 1e-6 * np.random.default_rng(3016).standard_normal(n1)
+        for g in (x, x + noise):
+            scales = _scales(monkeypatch)
+            eigenvalues(k, near=g)
+            assert scales[0] is None
+            if g is x and n1 <= 11:
+                assert all(s is None for s in scales)
+
+    def test_deformed_32_point_matrices_take_at_most_8_sweeps(self, monkeypatch):
+        # spectra like the ``deform`` benchmark's: random gaps and equally
+        # spaced points; random persymmetric matrices, whose close pairs
+        # isolate late, still take fewer sweeps than the plain multisection
+        rng = np.random.default_rng(3017)
+        for i in range(16):
+            if i < 12:
+                k = _random_gap_reconstruction(32, seed=i)[0] if i < 10 else _equally_spaced(31, 0.1 * i)
+            else:
+                k = _random_persymmetric(rng, 31)
+            deformed = _deformed(k, float(rng.uniform(0.1, 0.6))).to_monic()
+            scales = _scales(monkeypatch)
+            eigenvalues(deformed)
+            assert len(scales) <= (8 if i < 12 else 12), i
+            # the first sweep isolates the cells, the second takes the logs
+            assert scales[0] is None and scales[1] is not None, i
 
 
 # ----------------------------------------------------------------------
