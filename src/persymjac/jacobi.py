@@ -69,6 +69,7 @@ as ``h_N``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -851,12 +852,18 @@ def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarra
 
     Row ``s`` has the raw weight ``|1 / P'_{N+1}(x_s)|``, that is
     ``1 / prod_{t != s} |x_s - x_t|`` over all of ``x``; its log is
-    ``-sum_{t != s} log|x_s - x_t|``.
+    ``-sum_{t != s} log|x_s - x_t|``.  A spectrum reaching ``2**1022``
+    in magnitude is differenced scaled by ``2**-k``, so that no
+    difference overflows, and ``N k log 2`` is taken off every row.
     """
+    k = max(0, math.frexp(np.abs(x).max())[1] - 1022)
+    if k:
+        x = np.ldexp(x, -k)
     rows = np.arange(first, x.size, step)
     diff = x[rows, None] - x
     diff[np.arange(rows.size), rows] = 1.0
-    return -np.sum(np.log(np.abs(diff, out=diff), out=diff), axis=1)
+    logr = -np.sum(np.log(np.abs(diff, out=diff), out=diff), axis=1)
+    return logr - (x.size - 1) * k * math.log(2.0) if k else logr
 
 
 def _unit_mass(logw: np.ndarray) -> tuple[np.ndarray, float]:

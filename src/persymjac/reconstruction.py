@@ -38,6 +38,7 @@ sublattice only and stays exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,8 +282,8 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
     alone underflows.  The start vector is formed from the logs, and a
     component below the normal range is a breakdown; a vanishing norm
     turns every later coefficient NaN, which ``_reconstruct``'s check
-    reports.  Each degree costs one product with ``x``, two dot products
-    and in-place updates of three preallocated buffers.  Produces
+    reports.  Each degree makes eight NumPy calls into three preallocated
+    buffers, the floor for these bits.  Produces
     ``b_0..b_{nb-1}`` and ``u_1..u_nu``; ``nu`` must be ``nb`` or
     ``nb - 1``.
     """
@@ -298,20 +299,19 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
     b = np.empty(nb)
     u = np.empty(nu)
     a_prev = 0.0
+    mul, sub, div, dot, sqrt = np.multiply, np.subtract, np.divide, np.dot, math.sqrt
     for k in range(nb):
-        np.multiply(x, v, out=r)
-        v_prev *= a_prev
-        r -= v_prev
-        bk = float(r @ v)
-        b[k] = bk
+        mul(x, v, r)
+        mul(v_prev, a_prev, v_prev)
+        sub(r, v_prev, r)
+        bk = b[k] = dot(r, v)
         if k == nu:
             break
-        np.multiply(v, bk, out=v_prev)
-        r -= v_prev
-        uk = float(r @ r)
-        a_prev = np.sqrt(uk)
-        u[k] = uk
-        r /= a_prev
+        mul(v, bk, v_prev)
+        sub(r, v_prev, r)
+        uk = u[k] = dot(r, r)
+        a_prev = sqrt(uk)
+        div(r, a_prev, r)
         v_prev, v, r = v, r, v_prev
     return b, u
 

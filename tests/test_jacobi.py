@@ -1239,6 +1239,17 @@ class TestWeightsPersymmetric:
             h_true = float(np.prod(k.u))
             assert abs(h - h_true) <= 1e-10 * h_true
 
+    def test_differences_past_double_range_are_scaled_first(self):
+        # x_s - x_t overflows at +-1e308: the spectrum is differenced
+        # scaled by 2**-2, and 2 * 2 * log 2 comes off every row's log.
+        # Logs of differences near 2.5e307 carry ~1e-13 each, so the
+        # weights are 1/4, 1/2, 1/4 to about 1e-14, not to the last bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, h = weights_persymmetric([-1e308, 0.0, 1e308])
+        assert np.max(np.abs(t.w - np.array([0.25, 0.5, 0.25]))) <= 1e-13
+        assert h == np.inf
+
     @staticmethod
     def _full_matrix_weights(x: np.ndarray) -> tuple[np.ndarray, float]:
         """Reference weights and ``h_N`` from the full (N+1)^2

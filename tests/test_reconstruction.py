@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from persymjac.errors import NumericalError
-from persymjac.jacobi import (MonicJacobi, Spectrum, eigenvalues,
+from persymjac.jacobi import (MonicJacobi, Spectrum, _closed_form_logr, eigenvalues,
                               recurrence_polynomials, weights_persymmetric)
 from persymjac.polynomials import Polynomial, poly_from_roots
 from persymjac.benchmark import SpectrumFamily, generate_spectrum, linear_ground_truth
@@ -24,7 +24,7 @@ from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
                                       reconstruct_half_lattice,
                                       reconstruct_lagrange_euclid,
                                       reconstruct_mirror_fold,
-                                      sublattice_weights, _chain_arrays)
+                                      sublattice_weights, _chain_arrays, _lanczos)
 
 FROZEN_SPECTRA = (
     ((-1.0, 1.0), (0.0, 0.0), (1.0,)),
@@ -369,6 +369,14 @@ class TestLargeSpectra:
         with pytest.raises(NumericalError, match="start vector"):
             ALGORITHMS[alg](spec)
 
+    def test_half_lattice_start_vector_message_at_2052_points(self):
+        # the first size at which one sublattice component is subnormal
+        spec = generate_spectrum(SpectrumFamily("symmetric-linear", 2051, {"step": 2 / 2051}))
+        with pytest.raises(NumericalError) as err:
+            reconstruct_half_lattice(spec)
+        assert str(err.value) == ("Lanczos start vector underflows: 1 of 1026 "
+                                  "components lie below the normal range")
+
     @pytest.mark.parametrize("seed", range(8))
     def test_half_lattice_round_trip_on_random_gap_n_1024(self, seed):
         spec = generate_spectrum(SpectrumFamily("random-gap", 1024, {"seed": seed}))
@@ -376,6 +384,69 @@ class TestLargeSpectra:
         back = eigh_tridiagonal(rec.b, np.sqrt(rec.u), eigvals_only=True)
         x = spec.values
         assert np.max(np.abs(back - x)) <= 1e-13 * 0.5 * (x[-1] - x[0])
+
+
+def _ref_lanczos(x, logr, nb, nu, faults):
+    """Reference Lanczos kernel, written with in-place operators, ``@``
+    and ``np.sqrt``: ``_lanczos`` must give its bits."""
+    half = 0.5 * (logr - np.max(logr))
+    lost = int(np.count_nonzero(half < np.log(np.finfo(float).tiny)))
+    if lost:
+        faults.append(f"Lanczos start vector underflows: {lost} of {x.size} "
+                      "components lie below the normal range")
+    v = np.exp(half)
+    v /= np.sqrt(v @ v)
+    v_prev = np.zeros_like(x)
+    r = np.empty_like(x)
+    b = np.empty(nb)
+    u = np.empty(nu)
+    a_prev = 0.0
+    for k in range(nb):
+        np.multiply(x, v, out=r)
+        v_prev *= a_prev
+        r -= v_prev
+        bk = float(r @ v)
+        b[k] = bk
+        if k == nu:
+            break
+        np.multiply(v, bk, out=v_prev)
+        r -= v_prev
+        uk = float(r @ r)
+        a_prev = np.sqrt(uk)
+        u[k] = uk
+        r /= a_prev
+        v_prev, v, r = v, r, v_prev
+    return b, u
+
+
+class TestLanczosBits:
+    """``_lanczos`` against ``_ref_lanczos`` on the inputs that ``_gs_core``
+    (the full lattice) and ``_hl_core`` (one sublattice) give it."""
+
+    @staticmethod
+    def _inputs(spec, alg):
+        x = spec.values
+        xh = (x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0]))
+        n = xh.size - 1
+        if alg == "gs":
+            return xh, _closed_form_logr(xh), n + 1, n
+        first = 1 - n % 2
+        return xh[first::2], _closed_form_logr(xh, first, 2), n // 2, (n - 1) // 2
+
+    @pytest.mark.parametrize("alg", ("gs", "hl"))
+    @pytest.mark.parametrize("kind", ("symmetric-linear", "random-gap"))
+    @pytest.mark.parametrize("points", (11, 129, 512, 513, 1025, 2049))
+    def test_bit_identical_to_the_reference_loop(self, alg, kind, points):
+        n = points - 1
+        params = {"step": 2 / n} if kind == "symmetric-linear" else {"seed": points}
+        args = self._inputs(generate_spectrum(SpectrumFamily(kind, n, params)), alg)
+        got_faults, want_faults = [], []
+        with np.errstate(all="ignore"):
+            got = _lanczos(*args, got_faults)
+            want = _ref_lanczos(*args, want_faults)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got_faults == want_faults
 
 
 # ----------------------------------------------------------------------
