@@ -11,9 +11,9 @@ form with ``u_n = a_n**2 > 0``.  The associated monic polynomials obey
 when it equals its reflection through the anti-diagonal:
 ``a_{N+1-i} = a_i`` and ``b_{N-i} = b_i``.
 
-Eigenvalues are computed without forming a dense matrix, by bisection
-on Sturm counts of the recurrence alone, over a fixed grid of points
-finer than the doubles at the ends of the row-wise Gershgorin interval.
+Eigenvalues are defined by bisection on Sturm counts of the recurrence
+alone, over a fixed grid of points finer than the doubles at the ends of
+the row-wise Gershgorin interval; no other computation decides a bit.
 A matrix exactly mirror-symmetric outside its centre (every persymmetric
 matrix, and every isospectral deformation of one) is counted on its
 folded rows: the upper half once, standing for itself and its mirror
@@ -26,7 +26,10 @@ any sorted grid points in one sweep and moves every bracket into the
 cell they show (``_narrow``).  A caller that already holds a guess at the
 spectrum, as a round trip does, can pass it, and a ladder of grid points
 around each guess is counted first; the multisection then splits the
-cells left until each spans one grid step.  A cell that holds one
+cells left until each spans one grid step.  A solve of at most
+``_DENSE_POINTS`` points called without a guess takes LAPACK's
+eigenvalues of the dense matrix (``numpy.linalg.eigvalsh``) as its
+guess, or runs unguided where they cannot be had.  A cell that holds one
 eigenvalue alone is aimed at by a safeguarded secant step instead: there
 ``det(J - x)`` changes sign once and has no pole, its log is the sum of
 the logs of the pivots the count computes anyway (on folded rows the
@@ -37,12 +40,14 @@ slope the other eigenvalues give it (Aberth's correction), at a few
 rungs around that point, scaled to the cell, and at the cell's midpoint,
 which at least halves it.  An unguided solve at 32 points takes about 6
 sweeps and counts about 1,600 points, where the multisection alone takes
-13 sweeps.  The eigenvalues are the same to the last bit whatever the
-guess and whichever points the secant steps propose.  The Sturm chain
-sweeps its rows in fixed-size blocks without its guard (the pivot
-clamp), then checks the guard once per block; where it fires, the rows
-from the first pivot that fails it run again with the clamp on every
-row, so the counts are those of the row-by-row chain to the last bit.
+13 sweeps; guided by the dense estimate it takes about 3 sweeps and
+1,150 points.  The eigenvalues are the same to the last bit whatever the
+guess and whichever points the secant steps propose, so they do not
+depend on the LAPACK build.  The Sturm chain sweeps its rows in
+fixed-size blocks without its guard (the pivot clamp), then checks the
+guard once per block; where it fires, the rows from the first pivot that
+fails it run again with the clamp on every row, so the counts are those
+of the row-by-row chain to the last bit.
 
 The eigenvectors come from the same pivots, in one kernel (``_twisted``).
 At a node ``x`` the downward pivots ``d+`` are the Sturm chain's, the
@@ -106,6 +111,14 @@ _RUNGS = np.array([4, 8, 16, 32])
 # are narrower, and secant steps in them saved no sweep on the inputs
 # tried, only added points.
 _SECANT_WIDTH = 16
+# Most points of a matrix whose unguided solve is guided by LAPACK's dense
+# ``eigvalsh``.  On ``hl`` reconstructions of random-gap spectra, guided by
+# it a solve took 0.27, 0.49 and 0.94 ms at 11, 32 and 64 points, where
+# unguided it took 0.52, 0.79 and 1.19; at 129, 257 and 513 points it lost
+# (3.1 vs 2.6, 8.6 vs 8.1, 33 vs 26 ms).  From 65 points up OpenBLAS
+# threads ``eigvalsh`` on a 2-core machine, and a guided solve at 65
+# points took 6.7 ms.
+_DENSE_POINTS = 64
 # Most pivots in each direction of one chunk of ``weights_general``'s nodes
 # (1 MB).  At 2049 points, chunks of 15 nodes (``_BLOCK``) made the weights
 # take longer than the eigensolve; 63 nodes take about a third of it.
@@ -591,6 +604,21 @@ def _start(b: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     return lo0 - pad, hi0 + pad
 
 
+def _dense_estimate(b: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """LAPACK's eigenvalues of the matrix with diagonal ``b`` and couplings
+    ``sqrt(u)``, or ``None`` where it raises ``LinAlgError`` or returns a
+    value that is not finite.  Only the lower triangle, which ``eigvalsh``
+    reads, is formed.
+    """
+    m = np.diag(b)
+    np.fill_diagonal(m[1:], np.sqrt(u))
+    try:
+        x = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
+
+
 def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     """All eigenvalues of ``K``, strictly increasing.
 
@@ -618,12 +646,12 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     whole chain is counted, as it is when the two centre couplings of an
     even ``N`` sum past the double range.  Scaling ``K`` by a power of
     two scales the result exactly, as long as every value stays in the
-    normal double range and no pivot meets the clamp.  No dense matrix
-    is formed.  Positive ``u_n`` guarantee the eigenvalues are simple,
-    but two of them closer than the spacing of the doubles can round to
-    the same double (Wilkinson's ``W_31^+`` is one such matrix, and most
-    random persymmetric matrices from about 50 points up have such a
-    pair, one eigenvalue of each mirror class); that raises
+    normal double range and no pivot meets the clamp.  Positive ``u_n``
+    guarantee the eigenvalues are simple, but two of them closer than the
+    spacing of the doubles can round to the same double (Wilkinson's
+    ``W_31^+`` is one such matrix, and most random persymmetric matrices
+    from about 50 points up have such a pair, one eigenvalue of each
+    mirror class); that raises
     ``NumericalError`` ("eigenvalues failed to separate"), and so does a
     starting interval wider than the double range.
 
@@ -647,7 +675,8 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     ``_SWEEP_WIDTH`` points a sweep go to the cells left, those of several
     eigenvalues or without both values.  Unguided, ``hl`` reconstructions
     of random-gap spectra at 11, 32, 129 and 513 points take 5, 6, 6 and 8
-    sweeps, where the multisection alone takes 11, 13, 25 and 48.  A
+    sweeps, where the multisection alone takes 11, 13, 25 and 48; at 11
+    and 32 points the dense estimate below guides them in 2 and 3.  A
     guided solve's ladder sweep takes no logs, and a round trip guided by
     the spectrum it was built from takes none after it either.  The
     proposals choose only which points are counted, so the eigenvalues
@@ -660,7 +689,13 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     before the multisection: a guess within ``2**5`` grid steps of its
     eigenvalue leaves a cell at most that wide.  The result, error or
     not, is the same to the last bit for every guess, and a useless
-    guess costs that one sweep.
+    guess costs that one sweep.  Without ``near``, a matrix of at most
+    ``_DENSE_POINTS`` points is guided by LAPACK's eigenvalues of its
+    dense form (``_dense_estimate``), which land some tens of grid steps
+    from the eigenvalues; where LAPACK raises ``LinAlgError`` or returns a
+    value that is not finite, the solve runs unguided.  A starting cell
+    one grid step wide or less has no point inside to count, and takes
+    no ladder.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -675,13 +710,16 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         if not hi0 - lo0 < np.inf:
             raise NumericalError("eigenvalues failed to separate: "
                                  "their Gershgorin interval spreads beyond double range")
+        if near is None and n1 <= _DENSE_POINTS:
+            near = _dense_estimate(b, u)
         rows = _fold(b, u)
         e = np.frexp(max(abs(lo0), abs(hi0)))[1]
         q, scale = np.ldexp(1.0, e - 55), np.ldexp(1.0, e)
         cell = np.empty((2, n1), dtype=np.int64)
         cell[0], cell[1] = np.floor(lo0 / q), np.ceil(hi0 / q)
         val = np.full((2, n1), np.nan)
-        if near is not None:
+        # a starting cell one grid step wide or less has no point to count
+        if near is not None and cell[1, 0] - cell[0, 0] > 1:
             at = np.minimum(np.maximum(near / q, cell[0, 0]), cell[1, 0]).astype(np.int64)
             ladder = at[:, None] + _LADDER
             np.maximum(ladder, cell[0, 0] + 1, out=ladder)

@@ -8,6 +8,7 @@ silently drift into agreement with a wrong implementation.
 """
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -616,3 +617,28 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert np.max(np.abs(np.array(doc["spectrum"]) - [-1.0, 1.0])) <= 1e-12
+
+    def test_runtime_loads_no_test_only_package(self, tmp_path, child_env):
+        # SciPy, mpmath and Hypothesis are test-only oracles and tools; the
+        # package reaches LAPACK through NumPy alone.  A 32-point forward
+        # solve takes the dense estimate that guides it.
+        rng = np.random.default_rng(7)
+        mat = _write(tmp_path, "m.json", {"n": 31, "b": rng.uniform(-1.0, 1.0, 32).tolist(),
+                                          "a": rng.uniform(0.3, 1.2, 31).tolist()})
+        code = ("import sys, persymjac\n"
+                "from persymjac import cli\n"
+                f"assert cli.main(['forward', {mat!r}, '--out', {str(tmp_path / 'f.json')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert len(json.loads((tmp_path / "f.json").read_text())["spectrum"]) == 32
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        names = [re.split(r"[<>=!~; \[]", dep, maxsplit=1)[0]
+                 for dep in project["project"]["dependencies"]]
+        assert names == ["numpy"]

@@ -1,9 +1,10 @@
 """Tests for Jacobi matrix types and the forward spectral problem.
 
-The eigensolver is checked against an independent dense solver
-(``numpy.linalg.eigvalsh``) on seeded random matrices, the weight
-formulas against their pinned rational values, and the mirror-symmetry
-machinery against both positive and negative controls.
+The eigensolver is checked against an independent solver (SciPy's
+``eigvalsh_tridiagonal``; NumPy's ``eigvalsh`` guides the solver itself)
+on seeded random matrices, the weight formulas against their pinned
+rational values, and the mirror-symmetry machinery against both
+positive and negative controls.
 """
 
 import math
@@ -235,7 +236,7 @@ class TestEigenvalues:
             a = rng.uniform(0.3, 1.2, n)
             k = MonicJacobi(b, a * a)
             got = eigenvalues(k).values
-            want = np.linalg.eigvalsh(SymmetricJacobi.from_monic(k).dense())
+            want = scipy.linalg.eigvalsh_tridiagonal(k.b, np.sqrt(k.u))
             assert np.max(np.abs(got - want)) <= 1e-11
 
     def test_equally_spaced_spectrum_at_large_size(self):
@@ -782,6 +783,13 @@ def _sweeps(monkeypatch, take=lambda rows, xs, scale: xs.copy()) -> list:
     return seen
 
 
+def _unguided(monkeypatch) -> None:
+    """From here on an eigensolve called without a guess runs unguided at
+    every size: the dense estimate that guides it up to ``_DENSE_POINTS``
+    points is patched out."""
+    monkeypatch.setattr(jacobi, "_DENSE_POINTS", 0)
+
+
 def _random_gap_reconstruction(n1: int, seed: int = 0):
     """``hl``'s matrix for ``n1`` points with random gaps, and the points."""
     rng = np.random.default_rng(seed)
@@ -793,18 +801,24 @@ def _random_gap_reconstruction(n1: int, seed: int = 0):
 class TestGuidedEigenvalues:
     """``eigenvalues(K, near=g)`` is ``eigenvalues(K)`` to the last bit."""
 
-    def test_bits_do_not_depend_on_the_guess(self):
+    def test_bits_do_not_depend_on_the_guess(self, monkeypatch):
+        # against a truly unguided solve; the dense estimate is one more guess
         for k in _forward_family():
-            want = eigenvalues(k).values
+            with monkeypatch.context() as m:
+                _unguided(m)
+                want = eigenvalues(k).values
+            assert eigenvalues(k).values.tobytes() == want.tobytes(), k.n
             for g in _guides(k, want):
                 assert eigenvalues(k, near=g).values.tobytes() == want.tobytes(), k.n
 
-    def test_near_degenerate_pair_fails_with_the_same_message_for_any_guess(self):
+    def test_near_degenerate_pair_fails_with_the_same_message_for_any_guess(self, monkeypatch):
         k = MonicJacobi(np.abs(np.arange(-15.0, 16.0)), np.ones(30))
-        with pytest.raises(NumericalError) as want:
-            eigenvalues(k)
+        with monkeypatch.context() as m:
+            _unguided(m)
+            with pytest.raises(NumericalError) as want:
+                eigenvalues(k)
         dense = np.linalg.eigvalsh(SymmetricJacobi.from_monic(k).dense())
-        for g in _guides(k, dense):
+        for g in [None, *_guides(k, dense)]:
             with pytest.raises(NumericalError) as got:
                 eigenvalues(k, near=g)
             assert str(got.value) == str(want.value)
@@ -900,6 +914,7 @@ class TestMultisection:
         # the bits, are the same
         rng = np.random.default_rng(3014)
         inner = jacobi._narrow
+        _unguided(monkeypatch)
         for k in _forward_family():
             seen, extra = [], []
 
@@ -963,6 +978,19 @@ def _scales(monkeypatch) -> list:
     return _sweeps(monkeypatch, take=lambda rows, xs, scale: scale)
 
 
+def _deformed_32_point_matrices():
+    """Sixteen deformed 32-point matrices, like the ``deform`` benchmark's:
+    ten of random-gap and two of equally spaced spectra, then four random
+    persymmetric ones, whose close pairs isolate late."""
+    rng = np.random.default_rng(3017)
+    for i in range(16):
+        if i < 12:
+            k = _random_gap_reconstruction(32, seed=i)[0] if i < 10 else _equally_spaced(31, 0.1 * i)
+        else:
+            k = _random_persymmetric(rng, 31)
+        yield i, _deformed(k, float(rng.uniform(0.1, 0.6))).to_monic()
+
+
 class TestSecantSteps:
     """Secant steps on ``log|det(J - x)|`` inside isolated cells: fewer
     sweeps, never more than the plain multisection, and the same bits."""
@@ -998,6 +1026,7 @@ class TestSecantSteps:
     def test_no_family_member_takes_more_sweeps_than_plain_multisection(self, monkeypatch):
         # an aimed cell gets the secant point, its rungs and the midpoint in
         # place of the multisection's points: the midpoint at least halves it
+        _unguided(monkeypatch)
         sweeps = _sweeps(monkeypatch)
         fewer = 0
         for k in _forward_family():
@@ -1013,6 +1042,7 @@ class TestSecantSteps:
     def test_unguided_sweeps(self, monkeypatch, n1, bound, plain):
         k, _ = _random_gap_reconstruction(n1)
         assert _multisection_sweeps(k) == plain
+        _unguided(monkeypatch)
         sweeps = _sweeps(monkeypatch)
         eigenvalues(k)
         assert len(sweeps) <= bound
@@ -1050,15 +1080,11 @@ class TestSecantSteps:
     def test_deformed_32_point_matrices_take_at_most_6_sweeps(self, monkeypatch):
         # spectra like the ``deform`` benchmark's: random gaps and equally
         # spaced points; random persymmetric matrices, whose close pairs
-        # isolate late, take at most 7
-        rng = np.random.default_rng(3017)
+        # isolate late, take at most 7.  Unguided: at 32 points the
+        # solve is otherwise guided by the dense estimate (TestDenseEstimate)
+        _unguided(monkeypatch)
         points = []
-        for i in range(16):
-            if i < 12:
-                k = _random_gap_reconstruction(32, seed=i)[0] if i < 10 else _equally_spaced(31, 0.1 * i)
-            else:
-                k = _random_persymmetric(rng, 31)
-            deformed = _deformed(k, float(rng.uniform(0.1, 0.6))).to_monic()
+        for i, deformed in _deformed_32_point_matrices():
             seen = _sweeps(monkeypatch, take=lambda rows, xs, scale: (xs.size, scale))
             eigenvalues(deformed)
             assert len(seen) <= (6 if i < 12 else 7), i
@@ -1067,6 +1093,122 @@ class TestSecantSteps:
             if i < 12:
                 points.append(sum(size for size, _ in seen))
         assert np.mean(points) <= 1700
+
+
+def _solve(k: MonicJacobi) -> bytes | str:
+    """The eigenvalue bytes of ``k``, or the message of its ``NumericalError``."""
+    try:
+        return eigenvalues(k).values.tobytes()
+    except NumericalError as exc:
+        return str(exc)
+
+
+# the sizes the dense estimate guides, read before any test patches it out
+_DENSE_POINTS = jacobi._DENSE_POINTS
+
+
+def _dense_family():
+    """The ``_forward_family`` members of 2 to 64 points, the sizes the dense
+    estimate guides, and four that raise: Wilkinson's near-degenerate pair,
+    a starting interval of one double, and two spread past double range."""
+    yield from (k for k in _forward_family() if 2 <= k.b.size <= _DENSE_POINTS)
+    yield MonicJacobi(np.abs(np.arange(-15.0, 16.0)), np.ones(30))
+    yield MonicJacobi([1e300, 1e300], [1.0])
+    yield MonicJacobi([-1e308, 1e308], [1.0])
+    yield MonicJacobi([1e300, 0.0, 1e300], [1.0, 1.0])
+
+
+def _solves_and_sweeps(monkeypatch) -> list[tuple[bytes | str, int]]:
+    """``_solve`` of each ``_dense_family`` member, with its number of
+    sweeps, under warnings as errors."""
+    sweeps = _sweeps(monkeypatch)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in _dense_family():
+            sweeps.clear()
+            out.append((_solve(k), len(sweeps)))
+    return out
+
+
+class TestDenseEstimate:
+    """An eigensolve of at most ``_DENSE_POINTS`` points called without a
+    guess is guided by LAPACK's dense eigenvalues: fewer sweeps, the same
+    bits and the same errors as the unguided solve."""
+
+    def test_guides_only_unguided_solves_of_at_most_64_points(self, monkeypatch):
+        calls = []
+        inner = np.linalg.eigvalsh
+
+        def spy(m):
+            calls.append(m.shape)
+            return inner(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for n1 in (2, 3, 11, 32, 64):
+            k, x = _random_gap_reconstruction(n1)
+            calls.clear()
+            eigenvalues(k)
+            assert calls == [(n1, n1)]
+            calls.clear()
+            eigenvalues(k, near=x)
+            assert not calls
+        eigenvalues(MonicJacobi([0.5], []))
+        eigenvalues(_random_gap_reconstruction(65)[0])
+        assert not calls
+
+    def test_same_bits_and_messages_as_the_unguided_solve_in_fewer_sweeps(self, monkeypatch):
+        with monkeypatch.context() as m:
+            _unguided(m)
+            want = _solves_and_sweeps(m)
+        got = _solves_and_sweeps(monkeypatch)
+        assert [v for v, _ in got] == [v for v, _ in want]
+        assert sum(isinstance(v, str) for v, _ in got) == 4
+        assert all(g <= w for (_, g), (_, w) in zip(got, want))
+        assert sum(g < w for (_, g), (_, w) in zip(got, want)) >= len(got) - 5
+
+    @pytest.mark.parametrize("fault", ["LinAlgError", "nan", "inf", "-inf"])
+    def test_a_failing_estimate_runs_the_unguided_solve(self, monkeypatch, fault):
+        # the same bits, the same messages and the same sweeps as with the
+        # estimate patched out, and no warning: the estimate never reaches
+        # the validation of a caller's guess
+        with monkeypatch.context() as m:
+            _unguided(m)
+            want = _solves_and_sweeps(m)
+        inner = np.linalg.eigvalsh
+
+        def broken(m):
+            if fault == "LinAlgError":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            x = inner(m)
+            x[x.size // 2] = float(fault)
+            return x
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+        assert _solves_and_sweeps(monkeypatch) == want
+
+    @pytest.mark.parametrize("n1", [11, 32, 64])
+    def test_reconstructions_take_at_most_3_sweeps_and_no_logs(self, monkeypatch, n1):
+        # unguided they take 5, 6 and 6 (TestSecantSteps)
+        k, _ = _random_gap_reconstruction(n1)
+        scales = _scales(monkeypatch)
+        eigenvalues(k)
+        assert len(scales) <= 3
+        assert all(s is None for s in scales)
+
+    def test_deformed_32_point_matrices_take_at_most_4_sweeps(self, monkeypatch):
+        # the matrices of TestSecantSteps's unguided test: the first sweep is
+        # the ladder around the estimate and takes no logs; the estimate
+        # lands some tens of grid steps off, so one or two multisection
+        # sweeps finish, about 1,100 points where unguided it takes 1,600
+        points = []
+        for i, deformed in _deformed_32_point_matrices():
+            seen = _sweeps(monkeypatch, take=lambda rows, xs, scale: (xs.size, scale))
+            eigenvalues(deformed)
+            assert len(seen) <= 4, i
+            assert seen[0][1] is None, i
+            points.append(sum(size for size, _ in seen))
+        assert np.mean(points) <= 1250
 
 
 # ----------------------------------------------------------------------
