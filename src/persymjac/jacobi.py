@@ -29,7 +29,8 @@ around each guess is counted first; the multisection then splits the
 cells left until each spans one grid step.  A solve of at most
 ``_DENSE_POINTS`` points called without a guess takes LAPACK's
 eigenvalues of the dense matrix (``numpy.linalg.eigvalsh``) as its
-guess, or runs unguided where they cannot be had.  A cell that holds one
+guess, counted on a shorter ladder sized to their error, or runs
+unguided where they cannot be had.  A cell that holds one
 eigenvalue alone is aimed at by a safeguarded secant step instead: there
 ``det(J - x)`` changes sign once and has no pole, its log is the sum of
 the logs of the pivots the count computes anyway (on folded rows the
@@ -40,8 +41,8 @@ slope the other eigenvalues give it (Aberth's correction), at a few
 rungs around that point, scaled to the cell, and at the cell's midpoint,
 which at least halves it.  An unguided solve at 32 points takes about 6
 sweeps and counts about 1,600 points, where the multisection alone takes
-13 sweeps; guided by the dense estimate it takes about 3 sweeps and
-1,150 points.  The eigenvalues are the same to the last bit whatever the
+13 sweeps; guided by the dense estimate it takes about 2 sweeps and
+770 points.  The eigenvalues are the same to the last bit whatever the
 guess and whichever points the secant steps propose, so they do not
 depend on the LAPACK build.  The Sturm chain sweeps its rows in
 fixed-size blocks without its guard (the pivot clamp), then checks the
@@ -90,11 +91,23 @@ from .polynomials import Polynomial
 # width gives the same eigenvalues.  From 171 distinct cells on
 # (512 // 171 < 3) each sweep is a single bisection step.
 _SWEEP_WIDTH = 512
-# Grid offsets counted around each guess: a guess within 2**5 grid steps
-# of its eigenvalue leaves a cell that one multisection sweep of a small
-# matrix finishes, and one farther off still spares the levels above its
-# rung.
+# Grid offsets counted around each guess a caller passes: a guess within
+# 2**5 grid steps of its eigenvalue leaves a cell that one multisection
+# sweep of a small matrix finishes, and one farther off still spares the
+# levels above its rung.  Round trips land a few grid steps off, but a
+# poor guess needs the outer rungs: 13 offsets, {0, +-2**4, +-2**5,
+# +-2**6, +-2**20, +-2**25, +-2**50}, took ``le`` at 11 points from 0.31
+# to 0.55 ms and ``mf`` at 65 points from 6 to 10 sweeps.
 _LADDER = np.array([0] + [s << j for j in range(0, 51, 5) for s in (-1, 1)])
+# Grid offsets counted around each value of the dense estimate
+# (``_dense_estimate``).  Over 1,200 random matrices of 2 to 64 points
+# (random, graded at 10**+-3, persymmetric and linear) the estimate lay at
+# most 56 grid steps from its eigenvalue up to 32 points and 88 up to 64,
+# inside the outer rungs, so every cell the ladder leaves is at most 2**6
+# wide and one multisection sweep mostly finishes it.  A value farther
+# off leaves a wider cell, and the solve then runs unguided: it costs the
+# ladder's sweep.
+_DENSE_LADDER = np.array([0] + [s << j for j in range(4, 8) for s in (-1, 1)])
 # Most values in one block of the Sturm chain: a block of rows is swept
 # before its guard is checked, once.
 _BLOCK = 1 << 15
@@ -675,8 +688,8 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     ``_SWEEP_WIDTH`` points a sweep go to the cells left, those of several
     eigenvalues or without both values.  Unguided, ``hl`` reconstructions
     of random-gap spectra at 11, 32, 129 and 513 points take 5, 6, 6 and 8
-    sweeps, where the multisection alone takes 11, 13, 25 and 48; at 11
-    and 32 points the dense estimate below guides them in 2 and 3.  A
+    sweeps, where the multisection alone takes 11, 13, 25 and 48; at 11,
+    32 and 64 points the dense estimate below guides them in 2, 2 and 3.  A
     guided solve's ladder sweep takes no logs, and a round trip guided by
     the spectrum it was built from takes none after it either.  The
     proposals choose only which points are counted, so the eigenvalues
@@ -692,10 +705,15 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
     guess costs that one sweep.  Without ``near``, a matrix of at most
     ``_DENSE_POINTS`` points is guided by LAPACK's eigenvalues of its
     dense form (``_dense_estimate``), which land some tens of grid steps
-    from the eigenvalues; where LAPACK raises ``LinAlgError`` or returns a
-    value that is not finite, the solve runs unguided.  A starting cell
-    one grid step wide or less has no point inside to count, and takes
-    no ladder.
+    from the eigenvalues.  They are counted with the shorter ladder
+    ``_DENSE_LADDER``, at most ``2**7`` steps out, which leaves every
+    cell at most ``2**6`` wide.  Where it leaves a wider cell, some value
+    lay beyond its rungs, next to an end counted without the logs that
+    aim a secant step, and the solve runs unguided from the starting cell;
+    so does it where LAPACK raises ``LinAlgError`` or returns a value
+    that is not finite.  The ladder's points are counted once each, in
+    order.  A starting cell one grid step wide or less has no point
+    inside to count, and takes no ladder.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -710,7 +728,8 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         if not hi0 - lo0 < np.inf:
             raise NumericalError("eigenvalues failed to separate: "
                                  "their Gershgorin interval spreads beyond double range")
-        if near is None and n1 <= _DENSE_POINTS:
+        dense = near is None and n1 <= _DENSE_POINTS
+        if dense:
             near = _dense_estimate(b, u)
         rows = _fold(b, u)
         e = np.frexp(max(abs(lo0), abs(hi0)))[1]
@@ -720,11 +739,20 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         val = np.full((2, n1), np.nan)
         # a starting cell one grid step wide or less has no point to count
         if near is not None and cell[1, 0] - cell[0, 0] > 1:
-            at = np.minimum(np.maximum(near / q, cell[0, 0]), cell[1, 0]).astype(np.int64)
-            ladder = at[:, None] + _LADDER
-            np.maximum(ladder, cell[0, 0] + 1, out=ladder)
-            np.minimum(ladder, cell[1, 0] - 1, out=ladder)
-            _narrow(rows, q, np.unique(ladder), cell, val)
+            start = cell[:, 0].copy()
+            at = np.minimum(np.maximum(near / q, start[0]), start[1]).astype(np.int64)
+            ladder = at[:, None] + (_DENSE_LADDER if dense else _LADDER)
+            np.maximum(ladder, start[0] + 1, out=ladder)
+            np.minimum(ladder, start[1] - 1, out=ladder)
+            # sorted, the first of each run of equal points: NumPy 2.4 finds
+            # unique integers through a hash table, over ten times the sort
+            ladder = np.sort(ladder, axis=None)
+            _narrow(rows, q, ladder[np.append(True, ladder[1:] != ladder[:-1])], cell, val)
+            if dense and (cell[1] - cell[0]).max() > _DENSE_LADDER.max() >> 1:
+                # an eigenvalue beyond its estimate's outer rungs sits next to
+                # an end without logs, where no secant step can aim: run
+                # unguided, at the cost of the ladder's sweep
+                cell[0], cell[1] = start
         lo, hi = cell
         edge = np.ones(n1 + 1, dtype=bool)
         while True:

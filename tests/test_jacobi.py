@@ -790,6 +790,32 @@ def _unguided(monkeypatch) -> None:
     monkeypatch.setattr(jacobi, "_DENSE_POINTS", 0)
 
 
+def _first_ladder(monkeypatch) -> list:
+    """The grid indices of the first sweep from here on, the ladder's."""
+    seen = []
+    inner = jacobi._narrow
+
+    def spy(r, q, pts, cell, val, scale=None):
+        if not seen:
+            seen.append(pts.copy())
+        inner(r, q, pts, cell, val, scale)
+
+    monkeypatch.setattr(jacobi, "_narrow", spy)
+    return seen
+
+
+def _clipped_ladder(k: MonicJacobi, near: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the grid indices ``offsets`` around each guess of
+    ``near``, the guesses clipped to the starting cell and the ladder to
+    the points inside it."""
+    lo0, hi0 = jacobi._start(k.b, k.u)
+    q = _ref_grid_step(lo0, hi0)
+    lo, hi = math.floor(lo0 / q), math.ceil(hi0 / q)
+    with np.errstate(over="ignore"):
+        at = np.clip(near / q, lo, hi).astype(np.int64)
+    return np.unique(np.clip(at[:, None] + offsets, lo + 1, hi - 1))
+
+
 def _random_gap_reconstruction(n1: int, seed: int = 0):
     """``hl``'s matrix for ``n1`` points with random gaps, and the points."""
     rng = np.random.default_rng(seed)
@@ -871,19 +897,28 @@ class TestGuidedEigenvalues:
         sweeps = _sweeps(monkeypatch)
         for g in (want, want + _grid_step(k)):
             sweeps.clear()
+            ladder = _first_ladder(monkeypatch)
             assert eigenvalues(k, near=g).values.tobytes() == want.tobytes()
             assert sweeps[0].size > jacobi._BLOCK
+            # the points np.unique would give, each counted once, in order
+            assert np.all(np.diff(ladder[0]) > 0)
+            assert np.array_equal(ladder[0], _clipped_ladder(k, g, jacobi._LADDER))
 
     @pytest.mark.parametrize("far", [1e300, 1.7e308, -1.7e308])
-    def test_guess_at_the_ends_of_the_double_range(self, far):
+    def test_guess_at_the_ends_of_the_double_range(self, monkeypatch, far):
         # the guesses are clipped into the starting cell before they turn
-        # into grid indices, so nothing overflows and nothing warns
+        # into grid indices, so nothing overflows and nothing warns; every
+        # guess lands on the same end, and the ladder counts each point once
         k, _ = _random_gap_reconstruction(11)
         want = eigenvalues(k).values
+        near = np.full(want.size, far)
+        ladder = _first_ladder(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = eigenvalues(k, near=np.full(want.size, far)).values
+            got = eigenvalues(k, near=near).values
         assert got.tobytes() == want.tobytes()
+        assert np.all(np.diff(ladder[0]) > 0)
+        assert np.array_equal(ladder[0], _clipped_ladder(k, near, jacobi._LADDER))
 
 
 class TestMultisection:
@@ -1167,11 +1202,14 @@ class TestDenseEstimate:
         assert all(g <= w for (_, g), (_, w) in zip(got, want))
         assert sum(g < w for (_, g), (_, w) in zip(got, want)) >= len(got) - 5
 
-    @pytest.mark.parametrize("fault", ["LinAlgError", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fault", ["LinAlgError", "nan", "inf", "-inf", "shifted"])
     def test_a_failing_estimate_runs_the_unguided_solve(self, monkeypatch, fault):
         # the same bits, the same messages and the same sweeps as with the
         # estimate patched out, and no warning: the estimate never reaches
-        # the validation of a caller's guess
+        # the validation of a caller's guess.  An estimate shifted by 1e-6
+        # of its radius, about 2**34 grid steps, lies far outside the dense
+        # ladder: it still gives the same bits and messages, at the cost of
+        # at most the ladder's sweep
         with monkeypatch.context() as m:
             _unguided(m)
             want = _solves_and_sweeps(m)
@@ -1181,34 +1219,45 @@ class TestDenseEstimate:
             if fault == "LinAlgError":
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             x = inner(m)
+            if fault == "shifted":
+                return x + 1e-6 * np.max(np.abs(x))
             x[x.size // 2] = float(fault)
             return x
 
         monkeypatch.setattr(np.linalg, "eigvalsh", broken)
-        assert _solves_and_sweeps(monkeypatch) == want
+        got = _solves_and_sweeps(monkeypatch)
+        if fault == "shifted":
+            assert [v for v, _ in got] == [v for v, _ in want]
+            assert all(g <= w + 1 for (_, g), (_, w) in zip(got, want))
+        else:
+            assert got == want
 
-    @pytest.mark.parametrize("n1", [11, 32, 64])
-    def test_reconstructions_take_at_most_3_sweeps_and_no_logs(self, monkeypatch, n1):
+    @pytest.mark.parametrize("n1, most", [(11, 2), (32, 2), (64, 3)])
+    def test_reconstructions_take_2_sweeps_to_32_points_3_at_64_and_no_logs(self, monkeypatch,
+                                                                              n1, most):
         # unguided they take 5, 6 and 6 (TestSecantSteps)
         k, _ = _random_gap_reconstruction(n1)
         scales = _scales(monkeypatch)
         eigenvalues(k)
-        assert len(scales) <= 3
+        assert len(scales) <= most
         assert all(s is None for s in scales)
 
-    def test_deformed_32_point_matrices_take_at_most_4_sweeps(self, monkeypatch):
+    def test_deformed_32_point_matrices_take_at_most_3_sweeps(self, monkeypatch):
         # the matrices of TestSecantSteps's unguided test: the first sweep is
-        # the ladder around the estimate and takes no logs; the estimate
-        # lands some tens of grid steps off, so one or two multisection
-        # sweeps finish, about 1,100 points where unguided it takes 1,600
-        points = []
+        # the dense ladder around the estimate and takes no logs; the
+        # estimate lands some tens of grid steps off, inside the ladder's
+        # rungs, so one multisection sweep mostly finishes, about 770
+        # points where unguided it takes 1,600
+        sweeps, points = [], []
         for i, deformed in _deformed_32_point_matrices():
             seen = _sweeps(monkeypatch, take=lambda rows, xs, scale: (xs.size, scale))
             eigenvalues(deformed)
-            assert len(seen) <= 4, i
+            assert len(seen) <= 3, i
             assert seen[0][1] is None, i
+            sweeps.append(len(seen))
             points.append(sum(size for size, _ in seen))
-        assert np.mean(points) <= 1250
+        assert np.mean(sweeps) <= 2.2
+        assert np.mean(points) <= 800
 
 
 # ----------------------------------------------------------------------
