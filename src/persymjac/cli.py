@@ -69,7 +69,34 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=1) + "\n", out)
+    """Write ``json.dumps(doc, indent=1)`` and a newline, byte for byte.
+
+    Given an indent, ``json`` encodes in pure Python, one call per float,
+    so an object with string keys, as every document written here is,
+    is written a value at a time (``_indented``).
+    """
+    if isinstance(doc, dict) and doc:
+        text = "{\n" + ",\n".join(f" {json.dumps(key)}: {_indented(value)}"
+                                  for key, value in doc.items()) + "\n}"
+    else:
+        text = json.dumps(doc, indent=1)
+    _emit(text + "\n", out)
+
+
+def _indented(value) -> str:
+    """``value`` as ``json.dumps(doc, indent=1)`` writes it at the top of ``doc``.
+
+    A nonempty list of floats and ints goes through the C encoder,
+    ``json.dumps(value)``, and is indented by replacing its ``", "``
+    separators, which no number's text contains.  Other lists and objects
+    go through ``json.dumps`` with the indent, and the other values, which
+    take none, through the C encoder.
+    """
+    if type(value) is list and value and {type(v) for v in value} <= {float, int}:
+        return "[\n  " + json.dumps(value)[1:-1].replace(", ", ",\n  ") + "\n ]"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, indent=1).replace("\n", "\n ")
+    return json.dumps(value)
 
 
 def _floats(arr) -> list[float]:

@@ -55,7 +55,10 @@ At a node ``x`` the downward pivots ``d+`` are the Sturm chain's, the
 upward pivots ``d-`` are the chain's on the reversed rows, and
 ``gamma_i = d+_i + d-_i - (b_i - x)`` is the twist of the factorization
 ``J - x = N_r D_r N_r^T`` at row ``i`` (Parlett & Dhillon, *Linear
-Algebra Appl.* 267, 1997).  At the row ``r`` of the smallest
+Algebra Appl.* 267, 1997).  On the rows that a matrix mirrors from its
+top down (all of a persymmetric matrix, the upper half of a deformation
+of one), the reversed chain does the downward chain's arithmetic, so
+those pivots are computed once.  At the row ``r`` of the smallest
 ``|gamma_r|`` the vector ``z`` with ``z_r = 1`` and
 ``(J - x) z = gamma_r e_r`` is an eigenvector to within the residual
 ``|gamma_r| / |z|``, and its components follow outwards from ``r`` by
@@ -136,16 +139,21 @@ _DENSE_POINTS = 64
 # (1 MB).  At 2049 points, chunks of 15 nodes (``_BLOCK``) made the weights
 # take longer than the eigensolve; 63 nodes take about a third of it.
 _CHUNK = 1 << 17
+# Where ``_narrow`` finds a bracket's two ends: at the last point counting
+# at most ``k`` eigenvalues below it, and at the next.
+_ENDS = np.array([[0], [1]])
 # Relative gap below which two spectral points count as duplicates.
 _DUP_REL = 1e-12
 
 
 def _asarray1d(values, name: str) -> np.ndarray:
-    # NumPy would read strings and booleans as numbers
-    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if raw.dtype.kind in "bSU" or raw.dtype.kind == "O" and any(
-            isinstance(v, (str, bytes, bool, np.bool_)) for v in raw.flat):
-        raise ValueError(f"{name} must contain only numbers, not strings or booleans")
+    # NumPy would read strings and booleans as numbers; a list of floats and
+    # ints, as JSON arrays of numbers load, holds neither and skips the scan
+    if not (type(values) is list and {type(v) for v in values} <= {float, int}):
+        raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+        if raw.dtype.kind in "bSU" or raw.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bool, np.bool_)) for v in raw.flat):
+            raise ValueError(f"{name} must contain only numbers, not strings or booleans")
     try:
         arr = np.array(values, dtype=float, ndmin=1)
     except (TypeError, OverflowError) as exc:
@@ -168,7 +176,6 @@ class Spectrum:
             raise ValueError("a spectrum must contain at least one point")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise ValueError("spectrum must be strictly increasing")
-        arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
 
@@ -224,7 +231,6 @@ class MonicJacobi:
             raise ValueError("u must contain exactly one entry fewer than b")
         if uu.size and np.any(uu <= 0):
             raise NumericalError("recurrence weights u_n must be positive")
-        bb, uu = bb.copy(), uu.copy()
         bb.flags.writeable = False
         uu.flags.writeable = False
         self.b, self.u = bb, uu
@@ -267,7 +273,6 @@ class SymmetricJacobi:
             raise ValueError("b must contain at least one entry")
         if aa.size != bb.size - 1:
             raise ValueError("a must contain exactly one entry fewer than b")
-        bb, aa = bb.copy(), aa.copy()
         bb.flags.writeable = False
         aa.flags.writeable = False
         self.b, self.a = bb, aa
@@ -414,8 +419,8 @@ def _fold(b: np.ndarray, u: np.ndarray) -> _Rows:
     join = float(u[half - 1]) if half else 0.0
     if n1 % 2 and half:
         join += float(u[half])
-    if n1 < 2 or not (np.array_equal(b[:half], b[::-1][:half])
-            and np.array_equal(u[:paired], u[::-1][:paired]) and join < np.inf):
+    if n1 < 2 or not ((b[:half] == b[::-1][:half]).all()
+            and (u[:paired] == u[::-1][:paired]).all() and join < np.inf):
         return _Rows(b, u.tolist(), np.empty(0), 0.0, pivmin)
     ul = u[:max(half - 1, 0)].tolist()
     if n1 % 2:
@@ -551,11 +556,10 @@ def _narrow(rows: _Rows, q: float, pts: np.ndarray, cell: np.ndarray, val: np.nd
     NaN without one.
     """
     cnt, logdet = _sturm_count(rows, pts * q, scale)
-    at = np.add.outer((0, 1), cnt.searchsorted(np.arange(cell.shape[1]), side="right"))
+    at = cnt.searchsorted(np.arange(cell.shape[1]), side="right") + _ENDS
     # lo and hi never decrease in k: their first and last entries bound every bracket
     ends = np.concatenate((cell[0, :1], pts, cell[1, -1:]))[at]
-    moved = np.empty(cell.shape, dtype=bool)
-    np.greater(ends[0], cell[0], out=moved[0])
+    moved = ends > cell
     np.less(ends[1], cell[1], out=moved[1])
     np.copyto(cell, ends, where=moved)
     np.copyto(val, np.nan if logdet is None else np.concatenate(([np.nan], logdet, [np.nan]))[at],
@@ -611,8 +615,11 @@ def _start(b: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     ``2**-20`` of its width on each side.  Scaling ``K`` by a power of
     two scales both ends.
     """
-    reach = np.append(np.sqrt(u), 0.0) + np.append(0.0, np.sqrt(u))
-    lo0, hi0 = float(np.min(b - reach)), float(np.max(b + reach))
+    a = np.sqrt(u)
+    reach = np.zeros(b.size)
+    reach[1:] = a
+    reach[:-1] += a
+    lo0, hi0 = float((b - reach).min()), float((b + reach).max())
     pad = 2.0 ** -20 * (hi0 - lo0)
     return lo0 - pad, hi0 + pad
 
@@ -805,12 +812,26 @@ def _twisted(K: MonicJacobi, x: np.ndarray):
     above the twist and ``z_i / z_{i-1} = -a_i / d-_i`` below it, with
     ``a_n = sqrt(u_n)``: ``log|z_i|`` is the partial sum of the logs of
     their magnitudes, so no component leaves double range, and the sign of
-    ``z_i`` flips once for each positive pivot on the way.  The nodes are
-    taken in chunks of at most ``_CHUNK`` pivots in each direction; each
-    chunk yields its offset ``c``, then ``log|z_i|`` and the signs of
-    ``z_i`` (one column per node), ``log |z|`` and the residual
-    ``|gamma_r| / |z|`` (one entry per node).  ``weights_general`` and
-    ``mirror_residual`` both read it, under their own ``np.errstate``.
+    ``z_i`` flips once for each positive pivot on the way.
+
+    Row ``i`` of the reversed rows is the mirror image of row ``N - i``,
+    with diagonal ``b_{N-i}`` and coupling ``u_{N-i}`` to the row before
+    it.  While ``b_i = b_{N-i}`` and ``u_{i-1} = u_{N-i}`` for each row
+    ``i`` from the top, the reversed chain does the downward chain's
+    arithmetic at the same nodes with the same clamp, so its first
+    ``shared`` pivots are copied from ``d+`` and ``_pivots`` runs on from
+    the first row that differs, after ``d+_{shared-1}``.  That shares
+    every row of a persymmetric matrix, and at 32 points the 15 rows above
+    the centre of a deformation of one; the pivots are those of the whole
+    reversed chain to the bit.  The rows above the twist take ``d+`` and
+    the others ``d-``, so one selection of pivots gives the logs and signs
+    of both sides.
+
+    The nodes are taken in chunks of at most ``_CHUNK`` pivots in each
+    direction; each chunk yields its offset ``c``, then ``log|z_i|`` and
+    the signs of ``z_i`` (one column per node), ``log |z|`` and the
+    residual ``|gamma_r| / |z|`` (one entry per node).  ``weights_general``
+    and ``mirror_residual`` both read it, under their own ``np.errstate``.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -818,6 +839,10 @@ def _twisted(K: MonicJacobi, x: np.ndarray):
         raise ValueError("spectrum size does not match the matrix")
     ul, lu = u.tolist(), u[::-1].tolist()
     pivmin = 1e-292 * max([1.0, *ul])
+    # the reversed chain's rows 0..shared-1 are the forward chain's
+    mirrored = b == b[::-1]
+    mirrored[1:] &= u == u[::-1]
+    shared = n1 if mirrored.all() else int(mirrored.argmin())
     a = np.sqrt(u)[:, None]
     rows = np.arange(n1)[:, None]
     m = max(1, _CHUNK // n1)
@@ -825,17 +850,21 @@ def _twisted(K: MonicJacobi, x: np.ndarray):
         xc = x[c:c + m]
         down, up = np.empty((n1, xc.size)), np.empty((n1, xc.size))
         _pivots(b, ul, xc, 0, down, xc, pivmin)
-        _pivots(b[::-1], lu, xc, 0, up, xc, pivmin)
+        up[:shared] = down[:shared]
+        if shared < n1:
+            _pivots(b[::-1], lu, xc, shared, up[shared:], down[shared - 1] if shared else xc,
+                    pivmin)
         up = up[::-1]
         gamma = down + up - (b[:, None] - xc)
         r = np.argmin(np.abs(gamma), axis=0)
         above, below = rows[:-1] < r, rows[1:] > r
         # log|z_i| with z_r = 1, and whether z_i < 0: the sum of
         # log|z_j / z_{j+-1}|, and the parity of the pivots d_j > 0,
-        # outwards from the twist
-        lz = _outwards(np.add, np.where(above, np.log(a / np.abs(down[:-1])), 0.0),
-                       np.where(below, np.log(a / np.abs(up[1:])), 0.0))
-        odd = _outwards(np.logical_xor, above & (down[:-1] > 0.0), below & (up[1:] > 0.0))
+        # outwards from the twist; the rows above it take d+, the others d-
+        piv = np.where(above, down[:-1], up[1:])
+        lg, pos = np.log(a / np.abs(piv)), piv > 0.0
+        lz = _outwards(np.add, np.where(above, lg, 0.0), np.where(below, lg, 0.0))
+        odd = _outwards(np.logical_xor, above & pos, below & pos)
         top = np.max(lz, axis=0)
         lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
         res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)

@@ -8,6 +8,7 @@ silently drift into agreement with a wrong implementation.
 """
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from persymjac.benchmark import CSV_HEADER
-from persymjac.cli import main
+from persymjac.cli import _emit_json, main
 from persymjac.deformation import deform_closed_form, deform_conjugate
 from persymjac.jacobi import SymmetricJacobi
 from persymjac.reconstruction import reconstruct_lagrange_euclid
@@ -116,6 +117,23 @@ class TestGoldenOutputs:
             assert int(g[3]) >= 0  # timing is machine-dependent; mask it
             assert g[:3] == w[:3]
             assert g[4:] == w[4:]
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 0, "b": [0.5], "a": []},
+        {"n": 3, "tolerance": 1e-08, "checks": [
+            {"name": "spectral-roundtrip", "status": "fail", "residual": math.inf},
+            {"name": "sublattice-moments", "status": "skipped", "residual": None}],
+         "passed": False},
+        {"n": 2, "b": [1, -2, 30000000000000000000000], "a": [0.5, 2], "flags": [True, False],
+         "mixed": [1, True], "spectrum": [-math.inf, -0.0, 5e-324, 1e+300, math.inf],
+         "tolerance": math.inf, "passed": True, "residual": None, "nested": [[1.0, 2], []]},
+        {"name": "Ré Ø ∞", "values": [0.1, -2.5]},
+        {},
+    ], ids=["one-point", "failing-verify", "ints-and-booleans", "non-ascii", "empty"])
+    def test_writer_is_json_dumps_with_one_space_indent(self, doc, capsys):
+        # flat arrays of numbers go through the C encoder; the bytes must not change
+        _emit_json(doc, None)
+        assert capsys.readouterr().out == json.dumps(doc, indent=1) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -87,12 +87,23 @@ class TestSpectrum:
     @pytest.mark.parametrize("values", [
         [False, True, "2"], ["0", " 0 "], ["1_0"], [True, 1.0], [1.0, np.True_],
         "3", True, np.array([False, True]), np.array(["1", "2"]),
-        np.array([1.0, "2"], dtype=object),
+        np.array([1.0, "2"], dtype=object), [1, True], [10 ** 400],
     ])
     def test_rejects_strings_and_booleans(self, values):
         # NumPy would read each of these as numbers
         with pytest.raises(ValueError, match="only numbers"):
             Spectrum.from_values(values)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, None], "only finite values"), ([[0.5]], "one-dimensional")])
+    def test_lists_off_the_number_path_keep_their_messages(self, values, message):
+        # NumPy reads None as NaN
+        with pytest.raises(ValueError, match=message):
+            Spectrum.from_values(values)
+
+    def test_a_list_of_numbers_reads_as_its_tuple(self):
+        values = [-2, 0.5, 3, 2 ** 60 + 1, 1e300]
+        assert Spectrum(values).values.tobytes() == Spectrum(tuple(values)).values.tobytes()
 
 
 class TestMatrixTypes:
@@ -132,6 +143,15 @@ class TestMatrixTypes:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"coupling a_{degree} squared"):
                 SymmetricJacobi([0.0, 0.0, 0.0], a).to_monic()
+
+    def test_constructors_copy_the_callers_arrays(self):
+        b, u = np.array([0.0, 1.0, 2.0]), np.array([0.25, 4.0])
+        objs = [Spectrum(b), MonicJacobi(b, u), SymmetricJacobi(b, u)]
+        b[:], u[:] = -7.0, 9.0
+        for held in (objs[0].values, objs[1].b, objs[2].b):
+            assert np.array_equal(held, [0.0, 1.0, 2.0]) and not held.flags.writeable
+        for held in (objs[1].u, objs[2].a):
+            assert np.array_equal(held, [0.25, 4.0]) and not held.flags.writeable
 
     def test_dense_layout(self):
         j = SymmetricJacobi([1.0, 2.0, 3.0], [4.0, 5.0])
@@ -500,13 +520,19 @@ def _forward_family():
     yield _zero_pivots_in_two_blocks_mirrored()
     yield _far_scale_blocks()
     # the 32-point deformations the secant steps finish in half the sweeps:
-    # folded, and one ulp off the mirror, counted on the whole chain
+    # folded, and one ulp off the mirror, counted on the whole chain; off in
+    # the top row no row is mirrored, off in row 5 or in the coupling above
+    # it the five rows above it are
     for theta in rng.uniform(0.1, 0.6, 3):
         deformed = _deformed(_random_persymmetric(rng, 31), theta).to_monic()
         yield deformed
-        b = deformed.b.copy()
-        b[0] = np.nextafter(b[0], np.inf)
-        yield MonicJacobi(b, deformed.u)
+        for row in (0, 5):
+            b = deformed.b.copy()
+            b[row] = np.nextafter(b[row], np.inf)
+            yield MonicJacobi(b, deformed.u)
+        u = deformed.u.copy()
+        u[4] = np.nextafter(u[4], np.inf)
+        yield MonicJacobi(deformed.b, u)
     # scaled by powers of two to near both ends of the double range
     b, a = rng.uniform(-1.0, 1.0, 32), rng.uniform(0.3, 1.2, 31)
     for k in (-500, -80, 80, 500):
@@ -528,10 +554,23 @@ def _guarded_starts(monkeypatch, rows: str) -> list[int]:
     return starts
 
 
+def _mirrored_rows(k: MonicJacobi) -> int:
+    """How many rows from the top the matrix mirrors: row ``i`` while
+    ``b_i = b_{N-i}`` and, below row 0, ``u_{i-1} = u_{N-i}``."""
+    n, i = k.n, 0
+    while i <= n and k.b[i] == k.b[n - i] and (i == 0 or k.u[i - 1] == k.u[n - i]):
+        i += 1
+    return i
+
+
 class TestForwardSolverBits:
     def test_matches_the_reference_bit_for_bit(self):
         chunked = 0
+        # the reversed chain of _twisted starts below the rows the matrix mirrors
+        shared = set()
         for k in _forward_family():
+            rows = _mirrored_rows(k)
+            shared.add("all" if rows == k.b.size else "some" if rows else "none")
             want = _ref_eigenvalues(k)
             got = eigenvalues(k)
             assert got.values.tobytes() == want.tobytes(), k.n
@@ -544,6 +583,7 @@ class TestForwardSolverBits:
             # the reference takes every node at once, weights_general in chunks
             chunked += k.b.size ** 2 > jacobi._CHUNK
         assert chunked >= 1
+        assert shared == {"all", "some", "none"}
 
     def test_weights_match_scipy(self):
         for k in _forward_family():
@@ -585,6 +625,36 @@ class TestForwardSolverBits:
                         jacobi._pivots(b, u.tolist(), x, first, d[first:first + step], prev, pivmin)
                     prev = d[min(first + step, b.size) - 1]
                 assert d.tobytes() == want.tobytes(), step
+
+    @pytest.mark.parametrize("make", [_late_zero_pivot_mirrored,
+                                      _zero_pivots_in_two_blocks_mirrored])
+    @pytest.mark.parametrize("centre", [False, True], ids=["mirrored", "centre-coupling-off"])
+    def test_shared_pivots_match_the_reversed_reference_bit_for_bit(self, make, centre):
+        # as _twisted takes the reversed chain: the forward chain's rows that
+        # the matrix mirrors, then _pivots from the first row it does not.
+        # With the coupling below the centre row L changed, rows 0..L-1 stay
+        # mirrored, and the last of them meets the clamp at x = 0.
+        k = make()
+        n1, centre_row = k.b.size, k.n // 2
+        if centre:
+            u = k.u.copy()
+            u[centre_row] = 2.0
+            k = MonicJacobi(k.b, u)
+        shared = _mirrored_rows(k)
+        assert shared == (centre_row if centre else n1)
+        x = np.concatenate(([0.0], eigenvalues(k).values))
+        pivmin = 1e-292 * max(1.0, float(np.max(k.u)))
+        down, up = np.empty((n1, x.size)), np.empty((n1, x.size))
+        with np.errstate(all="ignore"):
+            jacobi._pivots(k.b, k.u.tolist(), x, 0, down, x, pivmin)
+            up[:shared] = down[:shared]
+            if shared < n1:
+                jacobi._pivots(k.b[::-1], k.u[::-1].tolist(), x, shared, up[shared:],
+                               down[shared - 1], pivmin)
+        want = np.array(_ref_pivots(k.b[::-1], k.u[::-1], x, pivmin))
+        assert up.tobytes() == want.tobytes()
+        # the clamp fires in the last shared row, where the unmirrored rows, if any, start
+        assert np.any(down[shared - 1] == -pivmin)
 
     @pytest.mark.parametrize("make", _ZERO_PIVOTS)
     def test_clamped_pass_starts_at_the_first_failing_row(self, monkeypatch, make):
