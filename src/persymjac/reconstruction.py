@@ -282,10 +282,18 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
     alone underflows.  The start vector is formed from the logs, and a
     component below the normal range is a breakdown; a vanishing norm
     turns every later coefficient NaN, which ``_reconstruct``'s check
-    reports.  Each degree makes eight NumPy calls into three preallocated
-    buffers, the floor for these bits.  Produces
-    ``b_0..b_{nb-1}`` and ``u_1..u_nu``; ``nu`` must be ``nb`` or
-    ``nb - 1``.
+    reports.  Produces ``b_0..b_{nb-1}`` and ``u_1..u_nu``; ``nu`` must
+    be ``nb`` or ``nb - 1``.
+
+    Each degree makes eight rounded operations in a fixed order, the
+    ones these bits need: ``np.multiply`` twice, ``np.subtract``,
+    ``r.dot(v)``, ``np.multiply``, ``np.subtract``, ``r.dot(r)`` and
+    ``np.divide``, all into three vector buffers, plus ``math.sqrt``.
+    The scalars ``b_k``, ``u_k`` and ``sqrt(u_k)`` live in three 0-d
+    arrays made by each call, which the dots fill through ``out``: a
+    Python float or NumPy scalar operand is converted to an array on
+    every ufunc call, a 0-d array is not.  Nothing is shared between
+    calls, so the kernel is reentrant.
     """
     half = 0.5 * (logr - np.max(logr))
     lost = int(np.count_nonzero(half < _LOG_TINY))
@@ -298,20 +306,20 @@ def _lanczos(x: np.ndarray, logr: np.ndarray, nb: int, nu: int, faults: list[str
     r = np.empty_like(x)
     b = np.empty(nb)
     u = np.empty(nu)
-    a_prev = 0.0
-    mul, sub, div, dot, sqrt = np.multiply, np.subtract, np.divide, np.dot, math.sqrt
+    bk, uk, a = np.empty(()), np.empty(()), np.zeros(())
+    mul, sub, div, sqrt = np.multiply, np.subtract, np.divide, math.sqrt
     for k in range(nb):
         mul(x, v, r)
-        mul(v_prev, a_prev, v_prev)
+        mul(v_prev, a, v_prev)
         sub(r, v_prev, r)
-        bk = b[k] = dot(r, v)
+        b[k] = r.dot(v, out=bk)
         if k == nu:
             break
         mul(v, bk, v_prev)
         sub(r, v_prev, r)
-        uk = u[k] = dot(r, r)
-        a_prev = sqrt(uk)
-        div(r, a_prev, r)
+        u[k] = r.dot(r, out=uk)
+        a[()] = sqrt(uk)
+        div(r, a, r)
         v_prev, v, r = v, r, v_prev
     return b, u
 
@@ -365,7 +373,9 @@ def _hl_core(xh: np.ndarray, faults: list[str]) -> tuple[np.ndarray, np.ndarray]
     # the even sublattice for odd n, the odd one for even n
     first = 1 - n % 2
     logr = _closed_form_logr(xh, first, 2)
-    b_low, u_low = _lanczos(xh[first::2], logr, n // 2, (n - 1) // 2, faults)
+    # a contiguous copy of the sublattice: the kernel's first multiply
+    # each degree reads it faster than the stride-2 view
+    b_low, u_low = _lanczos(xh[first::2].copy(), logr, n // 2, (n - 1) // 2, faults)
     if n % 2:
         b_mid = 0.5 * (sigma0 + sigma1) - float(np.sum(b_low))
         u_mid = coeff

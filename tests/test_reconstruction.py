@@ -7,6 +7,7 @@ the folded variants, and consistency of the moment/sublattice helpers
 that the half-lattice algorithm is built from.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -419,6 +420,20 @@ def _ref_lanczos(x, logr, nb, nu, faults):
     return b, u
 
 
+def _ref_closed_form_logr(x, first=0, step=1):
+    """Reference closed-form log weights, the table formed by the
+    broadcast ``x[rows, None] - x``: ``_closed_form_logr`` must give its
+    bits."""
+    k = max(0, math.frexp(np.abs(x).max())[1] - 1022)
+    if k:
+        x = np.ldexp(x, -k)
+    rows = np.arange(first, x.size, step)
+    diff = x[rows, None] - x
+    diff[np.arange(rows.size), rows] = 1.0
+    logr = -np.sum(np.log(np.abs(diff, out=diff), out=diff), axis=1)
+    return logr - (x.size - 1) * k * math.log(2.0) if k else logr
+
+
 class TestLanczosBits:
     """``_lanczos`` against ``_ref_lanczos`` on the inputs that ``_gs_core``
     (the full lattice) and ``_hl_core`` (one sublattice) give it."""
@@ -435,7 +450,7 @@ class TestLanczosBits:
 
     @pytest.mark.parametrize("alg", ("gs", "hl"))
     @pytest.mark.parametrize("kind", ("symmetric-linear", "random-gap"))
-    @pytest.mark.parametrize("points", (11, 129, 512, 513, 1025, 2049))
+    @pytest.mark.parametrize("points", (2, 3, 11, 129, 512, 513, 1025, 2049))
     def test_bit_identical_to_the_reference_loop(self, alg, kind, points):
         n = points - 1
         params = {"step": 2 / n} if kind == "symmetric-linear" else {"seed": points}
@@ -447,6 +462,97 @@ class TestLanczosBits:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert got_faults == want_faults
+
+    def test_reentrant(self):
+        """A second call leaves the first call's result as it was, and a
+        call run inside another, before each of the outer call's
+        operations on a scalar, changes none of its bits and shares none
+        of its 0-d scalars."""
+        spec = generate_spectrum(SpectrumFamily("random-gap", 10, {"seed": 3}))
+        outer = self._inputs(spec, "gs")
+        inner = self._inputs(generate_spectrum(SpectrumFamily("quadratic", 14)), "hl")
+        first = _lanczos(*outer, [])
+        kept = first[0].tobytes(), first[1].tobytes()
+        _lanczos(*inner, [])
+        fresh = _lanczos(*outer, [])
+        assert (first[0].tobytes(), first[1].tobytes()) == kept
+        assert kept == (fresh[0].tobytes(), fresh[1].tobytes())
+
+        seen = {"outer": [], "inner": []}
+        log = seen["outer"]
+
+        class Spy(np.ndarray):
+            """Records the 0-d arrays each ufunc call and ``dot`` is given
+            and, in the outer call, runs the inner call before every ufunc
+            call that takes one."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+                scalars = [a for a in inputs + out if type(a) is np.ndarray and a.ndim == 0]
+                log.extend(scalars)
+                if scalars and log is seen["outer"]:
+                    nested()
+                plain = [a.view(np.ndarray) if isinstance(a, Spy) else a for a in inputs]
+                outs = tuple(a.view(np.ndarray) for a in out)
+                result = getattr(ufunc, method)(*plain, out=outs or None, **kwargs)
+                if out:
+                    return out[0]
+                return result.view(Spy) if isinstance(result, np.ndarray) else result
+
+            def dot(self, other, out=None):
+                if out is not None:
+                    log.append(out)
+                return super().dot(other, out=out)
+
+        runs = []
+
+        def nested():
+            nonlocal log
+            log = seen["inner"]
+            runs.append(None)
+            _lanczos(inner[0].view(Spy), inner[1].view(Spy), *inner[2:], [])
+            log = seen["outer"]
+
+        got = _lanczos(outer[0].view(Spy), outer[1].view(Spy), *outer[2:], [])
+        assert got[0].tobytes() == fresh[0].tobytes()
+        assert got[1].tobytes() == fresh[1].tobytes()
+        ids = {key: {id(a) for a in arrays} for key, arrays in seen.items()}
+        assert len(ids["outer"]) == 3  # b_k, u_k and sqrt(u_k)
+        # three ufunc calls a degree take a scalar, one at the last degree
+        assert len(runs) == 3 * outer[2] - 2
+        assert len(ids["inner"]) == 3 * len(runs)
+        assert ids["outer"].isdisjoint(ids["inner"])
+
+
+class TestClosedFormLogBits:
+    """``_closed_form_logr`` against ``_ref_closed_form_logr`` on the rows
+    ``_hl_core`` asks for (every second point from 0 or from 1) and on
+    the full rows that ``_gs_core`` and ``weights_persymmetric`` use."""
+
+    ROWS = pytest.mark.parametrize("first, step", ((0, 2), (1, 2), (0, 1)),
+                                   ids=("even", "odd", "full"))
+
+    @staticmethod
+    def _assert_same(x, first, step):
+        got = _closed_form_logr(x, first, step)
+        assert got.tobytes() == _ref_closed_form_logr(x, first, step).tobytes()
+
+    @ROWS
+    @pytest.mark.parametrize("kind", ("symmetric-linear", "random-gap"))
+    @pytest.mark.parametrize("points", (11, 512, 513, 1025, 2049))
+    def test_bit_identical_to_the_broadcast_table(self, first, step, kind, points):
+        n = points - 1
+        params = {"step": 2 / n} if kind == "symmetric-linear" else {"seed": points}
+        x = generate_spectrum(SpectrumFamily(kind, n, params)).values
+        xh = (x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0]))
+        self._assert_same(x, first, step)  # as weights_persymmetric calls it
+        self._assert_same(xh, first, step)  # as the kernels call it
+
+    @ROWS
+    def test_bit_identical_on_the_scaled_branch(self, first, step):
+        x = generate_spectrum(SpectrumFamily("random-gap", 512, {"seed": 1})).values
+        x = np.ldexp((x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0])), 1022)
+        assert math.frexp(np.abs(x).max())[1] > 1022  # differenced scaled by 2**-k
+        self._assert_same(x, first, step)
 
 
 # ----------------------------------------------------------------------
