@@ -84,16 +84,30 @@ def _emit_json(doc, out: str | None) -> None:
 
 
 def _indented(value) -> str:
-    """``value`` as ``json.dumps(doc, indent=1)`` writes it at the top of ``doc``.
+    r"""``value`` as ``json.dumps(doc, indent=1)`` writes it at the top of ``doc``.
 
-    A nonempty list of floats and ints goes through the C encoder,
-    ``json.dumps(value)``, and is indented by replacing its ``", "``
-    separators, which no number's text contains.  Other lists and objects
-    go through ``json.dumps`` with the indent, and the other values, which
-    take none, through the C encoder.
+    Two kinds of list go through the C encoder, which ``json`` uses only
+    without an indent.  A nonempty list of floats and ints is
+    ``json.dumps(value)`` with its ``", "`` separators, which no number's
+    text contains, replaced.  A nonempty list of nonempty flat objects
+    (no object, list or tuple among their values), as ``verify``'s
+    ``checks``, is encoded in one call with the item separator
+    ``",\n   "``, the indented form's.  The C encoder escapes every
+    control character in a string, so that separator's newline is never
+    inside a value, and ``"},\n   {"`` appears only between two objects,
+    where it is replaced by the lines that close one and open the next.
+    Other lists and objects go through ``json.dumps`` with the indent, and
+    the other values, which take none, through the C encoder.
     """
-    if type(value) is list and value and {type(v) for v in value} <= {float, int}:
-        return "[\n  " + json.dumps(value)[1:-1].replace(", ", ",\n  ") + "\n ]"
+    if type(value) is list and value:
+        kinds = {type(v) for v in value}
+        if kinds <= {float, int}:
+            return "[\n  " + json.dumps(value)[1:-1].replace(", ", ",\n  ") + "\n ]"
+        if kinds == {dict} and all(obj and not any(isinstance(v, (dict, list, tuple))
+                                                   for v in obj.values()) for obj in value):
+            text = json.dumps(value, separators=(",\n   ", ": "))
+            return ("[\n  {\n   " + text[2:-2].replace("},\n   {", "\n  },\n  {\n   ")
+                    + "\n  }\n ]")
     if isinstance(value, (dict, list)):
         return json.dumps(value, indent=1).replace("\n", "\n ")
     return json.dumps(value)
@@ -160,6 +174,19 @@ def _cmd_deform(args) -> int:
     return 0
 
 
+def _powers(x: np.ndarray, orders: int) -> np.ndarray:
+    """The table whose row ``k`` is ``x ** k``, to the bit, for ``k < orders``.
+
+    The array power calls ``pow`` for every row, but ``x ** 2`` is
+    ``np.square``, which differs from ``pow`` in the last bit, so row 2
+    is taken on its own.
+    """
+    powers = x ** np.arange(orders)[:, None]
+    if orders > 2:
+        powers[2] = x ** 2
+    return powers
+
+
 @np.errstate(all="ignore")
 def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
     """The named consistency checks behind ``verify``.
@@ -212,11 +239,8 @@ def _verify_checks(spec: Spectrum, tol: float) -> list[dict]:
         except NumericalError:
             add("sublattice-moments", math.inf)
         else:
-            devs = []
-            for table in tables:
-                x, w = table.points.values, table.w
-                sub = [float(np.sum(w * x ** k)) for k in range(n)]
-                devs.append(np.abs(np.array(sub) - full.c))
+            devs = [np.abs((table.w * _powers(table.points.values, n)).sum(axis=1) - full.c)
+                    for table in tables]
             # np.max, unlike the builtin max, propagates a NaN from overflow
             add("sublattice-moments", float(np.max(devs)))
 

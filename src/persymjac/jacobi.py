@@ -166,9 +166,14 @@ def _asarray1d(values, name: str) -> np.ndarray:
 
 
 class Spectrum:
-    """A strictly increasing, finite sequence of eigenvalues."""
+    """A strictly increasing, finite sequence of eigenvalues.
 
-    __slots__ = ("values",)
+    ``values`` is read-only and never rebound.  ``_closed_form`` is
+    ``weights_persymmetric``'s memo: ``None``, or its read-only weight
+    array and ``h_N`` for these values.
+    """
+
+    __slots__ = ("values", "_closed_form")
 
     def __init__(self, values):
         arr = _asarray1d(values, "spectrum")
@@ -178,6 +183,7 @@ class Spectrum:
             raise ValueError("spectrum must be strictly increasing")
         arr.flags.writeable = False
         self.values = arr
+        self._closed_form = None
 
     @classmethod
     def from_values(cls, values) -> "Spectrum":
@@ -935,11 +941,26 @@ def weights_persymmetric(spectrum) -> tuple[WeightTable, float]:
     ``r_s`` is positive.  The table is normalized to total mass one and
     the implied norm ``h_N = (sum r_s)**-2`` (``inf`` past double range)
     is returned with it.
+
+    The weights and ``h_N`` are computed once per ``Spectrum`` object and
+    kept on it (``Spectrum._closed_form``): a second call on the same
+    spectrum, as ``verify`` makes for its moments and its sublattice
+    weights, builds its table from the kept read-only array.  The memo
+    holds the array, not the ``WeightTable``: the table refers to the
+    spectrum, so a spectrum holding its table would be a reference
+    cycle, and every such spectrum would wait for the cyclic garbage
+    collector.
     """
     spec = Spectrum.coerce(spectrum)
-    w, lse = _unit_mass(_closed_form_logr(spec.values))
-    with np.errstate(over="ignore"):
-        return WeightTable(spec, w), float(np.exp(-2.0 * lse))
+    if spec._closed_form is None:
+        w, lse = _unit_mass(_closed_form_logr(spec.values))
+        with np.errstate(over="ignore"):
+            h = float(np.exp(-2.0 * lse))
+        table = WeightTable(spec, w)
+        spec._closed_form = table.w, h
+        return table, h
+    w, h = spec._closed_form
+    return WeightTable(spec, w), h
 
 
 def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarray:

@@ -88,6 +88,13 @@ def moments(spectrum, upto: int) -> MomentSequence:
     no new information and the callers here never need them.  A moment
     that leaves double range (``x_s^n`` overflowing at large ``|x|``)
     raises ``NumericalError`` naming the first such order.
+
+    All orders come from one ``upto`` x (N+1) table: ``x`` in every row,
+    ``np.multiply.accumulate`` down the rows (row ``k - 1`` is then
+    ``x ** k`` as a running product), the weights multiplied in, and
+    one row-wise ``np.sum``.  Each moment is the same float as the sum
+    of ``w * x ** k`` over its own row, the running product taken one
+    order at a time.
     """
     spec = Spectrum.coerce(spectrum)
     if not 0 <= upto <= 2 * spec.n:
@@ -96,11 +103,11 @@ def moments(spectrum, upto: int) -> MomentSequence:
     x, w = table.points.values, table.w
     c = np.empty(upto + 1)
     c[0] = 1.0
-    p = np.ones_like(x)
+    powers = np.empty((upto, x.size))
+    powers[...] = x
     with np.errstate(all="ignore"):
-        for k in range(1, upto + 1):
-            p = p * x
-            c[k] = float(np.sum(w * p))
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        np.multiply(w, powers, out=powers).sum(axis=1, out=c[1:])
     lost = np.flatnonzero(~np.isfinite(c))
     if lost.size:
         raise NumericalError(f"moment of order {lost[0]} is not finite "
@@ -239,6 +246,11 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
     cancellation checks needed, and each step costs a handful of vector
     operations -- this is the hot path behind ``le`` and ``mf``.
     Returns ``b_0..b_m`` and ``u_1..u_m``.
+
+    Its scalars are Python floats (``ndarray.item``), so the degree's
+    tests run without NumPy scalars, and the two updates that can write
+    into an array already made, ``lo - hi`` and the division by ``u_k``,
+    take ``out=``.
     """
     m = lo.size - 1
     b = np.empty(m + 1)
@@ -246,18 +258,18 @@ def _chain_arrays(hi: np.ndarray, lo: np.ndarray, faults: list[str]
     for k in range(m, 0, -1):
         t = np.empty(k + 1)
         t[0] = -hi[0]
-        t[1:] = lo[:-1] - hi[1:-1]
-        bk = t[k]
+        np.subtract(lo[:-1], hi[1:-1], out=t[1:])
+        bk = t.item(k)
         rem = t[:-1] - bk * lo[:-1]
-        uk = rem[k - 1]
-        scale = float(np.max(np.abs(rem), initial=0.0))
-        if not np.isfinite(uk) or uk <= 0.0 or uk <= TRIM_REL * scale:
+        uk = rem.item(k - 1)
+        scale = np.abs(rem).max(initial=0.0).item()
+        if not math.isfinite(uk) or uk <= 0.0 or uk <= TRIM_REL * scale:
             faults.append("descent produced a degenerate weight u at degree "
                           f"{k}; spectrum is not realizable at working precision")
         b[k] = bk
         u[k - 1] = uk
         hi = lo
-        lo = rem / uk
+        lo = np.divide(rem, uk, out=rem)
         lo[k - 1] = 1.0
     b[0] = -hi[0]
     return b, u

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from persymjac.benchmark import CSV_HEADER
-from persymjac.cli import _emit_json, main
+from persymjac.cli import _emit_json, _powers, main
 from persymjac.deformation import deform_closed_form, deform_conjugate
 from persymjac.jacobi import SymmetricJacobi
 from persymjac.reconstruction import reconstruct_lagrange_euclid
@@ -129,9 +129,27 @@ class TestGoldenOutputs:
          "tolerance": math.inf, "passed": True, "residual": None, "nested": [[1.0, 2], []]},
         {"name": "Ré Ø ∞", "values": [0.1, -2.5]},
         {},
-    ], ids=["one-point", "failing-verify", "ints-and-booleans", "non-ascii", "empty"])
+        {"n": 4, "tolerance": 1e-08, "checks": [
+            {"name": "spectral-roundtrip", "status": "pass",
+             "residual": np.float64(2.220446049250313e-16)},
+            {"name": "mirror-relation", "status": "fail", "residual": math.inf},
+            {"name": "sublattice-moments", "status": "skipped", "residual": None},
+            {"name": "Ré Ø ∞ },\n   {\"", "passed": True, "skipped": False, "count": -3,
+             "big": 30000000000000000000000, "neg": -math.inf, "zero": -0.0},
+            {"one": 5e-324}],
+         "passed": False},
+        {"one-check": [{"name": "midpoint-closure", "status": "pass", "residual": 0.0}]},
+        {"empty-object": [{"residual": 1.0}, {}], "only-empty": [{}]},
+        {"nested-list": [{"name": "a", "values": [1.0, 2]}],
+         "nested-object": [{"name": "a", "inner": {"residual": 1.0}}],
+         "tuple": [{"name": "a", "pair": (1.0, 2.0)}],
+         "mixed": [{"name": "a"}, [1.0], 2.0]},
+    ], ids=["one-point", "failing-verify", "ints-and-booleans", "non-ascii", "empty",
+            "verify-checks", "one-flat-object", "empty-object", "nested"])
     def test_writer_is_json_dumps_with_one_space_indent(self, doc, capsys):
-        # flat arrays of numbers go through the C encoder; the bytes must not change
+        # flat arrays of numbers and lists of flat objects go through the C
+        # encoder; lists holding an empty object or a nested value do not;
+        # the bytes must not change
         _emit_json(doc, None)
         assert capsys.readouterr().out == json.dumps(doc, indent=1) + "\n"
 
@@ -537,6 +555,27 @@ class TestVerifyExitContract:
         # and a numerical breakdown 3
         spec = _write(tmp_path, "s.json", [float(x) for x in spectrum])
         assert main(["verify", spec, "--out", str(tmp_path / "v.json")]) in (0, 1, 3)
+
+
+class TestVerifyPowerTable:
+    """``verify``'s sublattice moments take their powers from one table;
+    row ``k`` must be the bits of ``x ** k``."""
+
+    def test_rows_are_the_scalar_powers(self):
+        rng = np.random.default_rng(2902)
+        pow_rows_differ = 0  # draws where the array power's row 2 is not x ** 2
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                points = int(rng.integers(1, 36))
+                x = np.ldexp(rng.uniform(-1.0, 1.0, points), int(rng.integers(-60, 61)))
+                orders = int(rng.integers(1, 70))
+                table = _powers(x, orders)
+                assert table.shape == (orders, points)
+                for k in range(orders):
+                    assert table[k].tobytes() == (x ** k).tobytes(), k
+                pow_rows_differ += not np.array_equal((x ** np.arange(3)[:, None])[2], x ** 2)
+        # without row 2 taken on its own, the table would be wrong here
+        assert pow_rows_differ > 0
 
 
 @st.composite

@@ -7,6 +7,7 @@ rational values, and the mirror-symmetry machinery against both
 positive and negative controls.
 """
 
+import gc
 import math
 import warnings
 
@@ -1540,6 +1541,48 @@ class TestWeightsPersymmetric:
                     got, got_h = weights_persymmetric(spec)
                 assert got.w.tobytes() == want_w.tobytes()
                 assert np.float64(got_h).tobytes() == np.float64(want_h).tobytes()
+
+    def test_a_second_call_on_one_spectrum_reuses_the_weights(self, monkeypatch):
+        spec = Spectrum(np.cumsum(np.random.default_rng(2903).uniform(0.5, 1.5, 11)))
+        first, first_h = weights_persymmetric(spec)
+        calls = []
+        real = jacobi._closed_form_logr
+        monkeypatch.setattr(jacobi, "_closed_form_logr",
+                            lambda *args: calls.append(args) or real(*args))
+        second, second_h = weights_persymmetric(spec)
+        assert calls == []
+        assert second.points is spec and second is not first
+        assert second.w.tobytes() == first.w.tobytes()
+        assert np.float64(second_h).tobytes() == np.float64(first_h).tobytes()
+        # another spectrum object with the same values computes its own
+        third, _ = weights_persymmetric(Spectrum(spec.values))
+        assert len(calls) == 1
+        assert third.w.tobytes() == first.w.tobytes()
+
+    def test_the_kept_weights_are_read_only(self):
+        spec = Spectrum(np.linspace(-1.0, 1.0, 7))
+        assert spec._closed_form is None
+        table, h = weights_persymmetric(spec)
+        w, kept_h = spec._closed_form
+        assert not w.flags.writeable
+        assert kept_h == h
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+        assert weights_persymmetric(spec)[0].w.tobytes() == table.w.tobytes()
+
+    def test_a_spectrum_and_its_table_leave_no_cycle(self):
+        # the memo holds the array, not the table, which refers back to
+        # the spectrum: both go when their last reference does
+        gc.collect()
+        gc.disable()
+        try:
+            spec = Spectrum(np.linspace(-1.0, 1.0, 11))
+            table, _ = weights_persymmetric(spec)
+            again, _ = weights_persymmetric(spec)
+            del spec, table, again
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from persymjac.errors import NumericalError
-from persymjac.jacobi import (MonicJacobi, Spectrum, _closed_form_logr, eigenvalues,
-                              recurrence_polynomials, weights_persymmetric)
-from persymjac.polynomials import Polynomial, poly_from_roots
+from persymjac.jacobi import (MonicJacobi, Spectrum, _closed_form_logr, _mirror_signs,
+                              eigenvalues, recurrence_polynomials, weights_persymmetric)
+from persymjac.polynomials import (TRIM_REL, Polynomial, _interp_coeffs, _roots_coeffs,
+                                   poly_from_roots)
 from persymjac.benchmark import SpectrumFamily, generate_spectrum, linear_ground_truth
 from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
                                       midpoint_data, moments,
@@ -25,7 +26,8 @@ from persymjac.reconstruction import (ALGORITHMS, MidpointData, MomentSequence,
                                       reconstruct_half_lattice,
                                       reconstruct_lagrange_euclid,
                                       reconstruct_mirror_fold,
-                                      sublattice_weights, _chain_arrays, _lanczos)
+                                      sublattice_weights, _chain_arrays, _lanczos,
+                                      _midpoint_arrays, _sublattices)
 
 FROZEN_SPECTRA = (
     ((-1.0, 1.0), (0.0, 0.0), (1.0,)),
@@ -182,6 +184,64 @@ class TestDescentChain:
                           "spectrum is not realizable at working precision"]
         assert np.array_equal(b, [0.0, 0.0])
         assert np.array_equal(u, [-1.0])
+
+
+def _ref_chain_arrays(hi, lo, faults):
+    """Reference Euclidean descent on NumPy scalars and fresh arrays:
+    ``_chain_arrays`` must give its bits and its faults."""
+    m = lo.size - 1
+    b = np.empty(m + 1)
+    u = np.empty(m)
+    for k in range(m, 0, -1):
+        t = np.empty(k + 1)
+        t[0] = -hi[0]
+        t[1:] = lo[:-1] - hi[1:-1]
+        bk = t[k]
+        rem = t[:-1] - bk * lo[:-1]
+        uk = rem[k - 1]
+        scale = float(np.max(np.abs(rem), initial=0.0))
+        if not np.isfinite(uk) or uk <= 0.0 or uk <= TRIM_REL * scale:
+            faults.append("descent produced a degenerate weight u at degree "
+                          f"{k}; spectrum is not realizable at working precision")
+        b[k] = bk
+        u[k - 1] = uk
+        hi = lo
+        lo = rem / uk
+        lo[k - 1] = 1.0
+    b[0] = -hi[0]
+    return b, u
+
+
+class TestDescentChainBits:
+    """``_chain_arrays`` against ``_ref_chain_arrays`` on the inputs that
+    ``le`` and ``mf`` give it, past the sizes where the descent breaks down."""
+
+    @staticmethod
+    def _inputs(xh):
+        n = xh.size - 1
+        chi_top = _interp_coeffs(xh, _mirror_signs(n))
+        lo = chi_top / chi_top[-1]
+        lo[-1] = 1.0
+        yield _roots_coeffs(xh), lo  # le
+        ev, od, sigma0, sigma1 = _sublattices(xh)
+        yield _midpoint_arrays(_roots_coeffs(ev), _roots_coeffs(od), sigma0, sigma1,
+                               n, [])  # mf
+
+    @pytest.mark.parametrize("kind", ("symmetric-linear", "random-gap"))
+    @pytest.mark.parametrize("points", (2, 3, 10, 11, 30, 31, 41, 65))
+    def test_bit_identical_to_the_reference_descent(self, kind, points):
+        n = points - 1
+        params = {"step": 2 / n} if kind == "symmetric-linear" else {"seed": points}
+        x = generate_spectrum(SpectrumFamily(kind, n, params)).values
+        xh = (x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0]))
+        for hi, lo in self._inputs(xh):
+            got_faults, want_faults = [], []
+            with np.errstate(all="ignore"):
+                got = _chain_arrays(hi, lo, got_faults)
+                want = _ref_chain_arrays(hi, lo, want_faults)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got_faults == want_faults
 
 
 # ----------------------------------------------------------------------
@@ -553,6 +613,67 @@ class TestClosedFormLogBits:
         x = np.ldexp((x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0])), 1022)
         assert math.frexp(np.abs(x).max())[1] > 1022  # differenced scaled by 2**-k
         self._assert_same(x, first, step)
+
+
+def _ref_moments(spectrum, upto):
+    """Reference moments, one order at a time as a running product:
+    ``moments`` must give its bits and its error."""
+    table, _ = weights_persymmetric(spectrum)
+    x, w = table.points.values, table.w
+    c = np.empty(upto + 1)
+    c[0] = 1.0
+    p = np.ones_like(x)
+    with np.errstate(all="ignore"):
+        for k in range(1, upto + 1):
+            p = p * x
+            c[k] = float(np.sum(w * p))
+    lost = np.flatnonzero(~np.isfinite(c))
+    if lost.size:
+        raise NumericalError(f"moment of order {lost[0]} is not finite "
+                             "at working precision")
+    return MomentSequence(c)
+
+
+class TestMomentsBits:
+    """``moments``, all orders from one table, against ``_ref_moments``:
+    the same bytes, or the same error."""
+
+    @staticmethod
+    def _outcome(fn, spec, upto):
+        try:
+            return fn(spec, upto).c.tobytes()
+        except NumericalError as exc:
+            return str(exc)
+
+    def _assert_same(self, spec, upto):
+        assert self._outcome(moments, spec, upto) == self._outcome(_ref_moments, spec, upto)
+
+    @pytest.mark.parametrize("kind", ("symmetric-linear", "random-gap"))
+    @pytest.mark.parametrize("points", (2, 3, 10, 11, 32, 33, 128, 129))
+    def test_bit_identical_to_the_running_product(self, kind, points):
+        n = points - 1
+        params = {"step": 2 / n} if kind == "symmetric-linear" else {"seed": points}
+        spec = generate_spectrum(SpectrumFamily(kind, n, params))
+        xh = (spec.values - 0.5 * (spec.values[0] + spec.values[-1])) / (
+            0.5 * (spec.values[-1] - spec.values[0]))
+        for x in (spec, Spectrum(xh)):
+            for upto in sorted({0, 1, n - 1, n, 2 * n}):
+                self._assert_same(x, upto)
+
+    def test_random_spectra_at_far_scales(self):
+        rng = np.random.default_rng(2901)
+        for _ in range(40):
+            x = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 70))))
+            spec = Spectrum(np.ldexp(x, int(rng.integers(-60, 61))))
+            for upto in (spec.n - 1, 2 * spec.n):
+                self._assert_same(spec, upto)
+
+    def test_overflow_names_the_same_first_order(self):
+        # x ** k leaves double range from some order below 2N on
+        spec = Spectrum(np.linspace(-1.0, 1.0, 65) * 2.0 ** 40)
+        self._assert_same(spec, 2 * spec.n)
+        with pytest.raises(NumericalError, match="order 26 "):
+            moments(spec, 2 * spec.n)
 
 
 # ----------------------------------------------------------------------
