@@ -113,10 +113,6 @@ def _indented(value) -> str:
     return json.dumps(value)
 
 
-def _floats(arr) -> list[float]:
-    return [float(x) for x in arr]
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -127,7 +123,7 @@ def _cmd_forward(args) -> int:
     monic = jac.to_monic()
     spec = eigenvalues(monic)
     table = weights_general(monic, spec)
-    _emit_json({"spectrum": _floats(spec.values), "weights": _floats(table.w)}, args.out)
+    _emit_json({"spectrum": spec.values.tolist(), "weights": table.w.tolist()}, args.out)
     return 0
 
 
@@ -148,7 +144,7 @@ def _cmd_reconstruct(args) -> int:
         raise NumericalError(f"round-trip residual {residual:.3e} exceeds "
                              f"the requested tolerance {tol:.3e}")
     sym = SymmetricJacobi.from_monic(rec)
-    _emit_json({"n": rec.n, "b": _floats(sym.b), "a": _floats(sym.a),
+    _emit_json({"n": rec.n, "b": sym.b.tolist(), "a": sym.a.tolist(),
                 "residual": residual}, args.out)
     return 0
 
@@ -165,11 +161,11 @@ def _cmd_deform(args) -> int:
         raise ValueError(f"--theta must be a finite number, not {args.theta}")
     jac = _load_matrix(args.matrix)
     tilted = deform_closed_form(jac, args.theta)
-    doc = {"n": tilted.n, "b": _floats(tilted.b), "a": _floats(tilted.a),
+    doc = {"n": tilted.n, "b": tilted.b.tolist(), "a": tilted.a.tolist(),
            "theta": args.theta}
     if args.weights:
         table, _ = weights_persymmetric(eigenvalues(jac.to_monic()))
-        doc["weights"] = _floats(deformed_weights(table, args.theta).w)
+        doc["weights"] = deformed_weights(table, args.theta).w.tolist()
     _emit_json(doc, args.out)
     return 0
 

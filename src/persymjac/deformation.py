@@ -19,7 +19,9 @@ have closed forms in the undeformed ones (:func:`deformed_weights`,
 a persymmetric eigenvector's last component against its first; at
 ``N = 0`` nothing deforms.  The polynomial family degenerates on the
 singular set ``cos(2 theta) = 0``, where the deformed measure loses one
-mirror class; we refuse angles within ``SINGULAR_TOL`` of it.
+mirror class; we refuse angles within ``SINGULAR_TOL`` of it.  The
+deformation takes ``sin(2 theta)``, so an angle is valid when ``2 theta``
+is finite: ``|theta| < 2**1023``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ SINGULAR_TOL = 1e-10
 #: their input; :func:`deform_conjugate` also discards an off-band residue
 #: up to this bound times ``max(1, max|J|)``.
 DEFORM_TOL = 1e-8
+
+
+def _check_angle(theta: float) -> None:
+    """Raise ``ValueError`` unless ``2 theta`` is finite, that is
+    ``|theta| < 2**1023``: past it ``2 theta`` overflows and its sine is NaN."""
+    if not abs(theta) < 2.0 ** 1023:
+        raise ValueError(f"deformation angle theta = {float(theta)!r} is out of range: "
+                         "|theta| must be below 2**1023, so that 2 theta is finite")
 
 
 def build_involution(n_points: int, theta: float) -> np.ndarray:
@@ -104,8 +114,10 @@ def deform_closed_form(jac: SymmetricJacobi, theta: float) -> SymmetricJacobi:
       become ``a * (cos theta + sin theta)`` and
       ``a * (cos theta - sin theta)``; the diagonal is untouched.
 
-    The input must be persymmetric within ``DEFORM_TOL``.
+    The input must be persymmetric within ``DEFORM_TOL``, and ``theta``
+    a valid angle (``|theta| < 2**1023``).
     """
+    _check_angle(theta)
     if not is_persymmetric(jac, tol=DEFORM_TOL):
         raise ValueError("deformation requires a persymmetric matrix")
     b = jac.b.copy()
@@ -143,8 +155,10 @@ def deformed_weights(table: WeightTable, theta: float) -> WeightTable:
     the involution is ``[1]`` and the table is returned unchanged.  A
     table whose two mirror classes carry unequal mass, as computed
     weights may, loses its unit mass under the tilt, which raises
-    ``NumericalError``.
+    ``NumericalError``.  An angle with ``|theta| >= 2**1023`` raises
+    ``ValueError``.
     """
+    _check_angle(theta)
     n = len(table.w) - 1
     if n == 0:
         return table
@@ -169,8 +183,10 @@ def deformed_polynomials(system: OrthoPolySystem, theta: float) -> tuple[Polynom
     and for even ``N`` the centre is ``chi_{N/2} / (cos theta + sin theta)``.
     At ``N = 0`` the family is ``(chi_0,)``.  On the singular set
     ``cos(2 theta) = 0``, which holds every zero of ``cos theta + sin theta``,
-    the family truncates and ``NumericalError`` is raised.
+    the family truncates and ``NumericalError`` is raised.  An angle with
+    ``|theta| >= 2**1023`` raises ``ValueError``.
     """
+    _check_angle(theta)
     n = system.n
     if n == 0:
         return (system.orthonormal(0),)

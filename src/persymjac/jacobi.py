@@ -74,6 +74,14 @@ The persymmetric weights have the closed form
 
 normalized to unit total mass; the scale factor it implies is returned
 as ``h_N``.
+
+Every rounded operation here, and every transcendental function, is
+NumPy's, so the bits of a result do not depend on which Python route
+reaches them.  Only exact operations are taken on the cheaper route
+where it exists: comparisons, powers of two, floor and ceil, copies,
+and reductions called as ndarray methods, which run the same loops as
+the NumPy functions.  ``math.log`` and ``np.log``, for one, differ in
+the last bit on some doubles.
 """
 
 from __future__ import annotations
@@ -160,7 +168,7 @@ def _asarray1d(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must contain only numbers: {exc}") from exc
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -179,7 +187,7 @@ class Spectrum:
         arr = _asarray1d(values, "spectrum")
         if arr.size == 0:
             raise ValueError("a spectrum must contain at least one point")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        if not (arr[1:] > arr[:-1]).all():
             raise ValueError("spectrum must be strictly increasing")
         arr.flags.writeable = False
         self.values = arr
@@ -195,8 +203,8 @@ class Spectrum:
         """
         arr = np.sort(_asarray1d(values, "spectrum"))
         if arr.size > 1:
-            tol = _DUP_REL * float(np.max(np.abs(arr)))
-            if np.any(np.diff(arr) <= tol):
+            tol = _DUP_REL * float(np.abs(arr).max())
+            if (arr[1:] - arr[:-1] <= tol).any():
                 raise ValueError("duplicate spectral points")
         return cls(arr)
 
@@ -211,7 +219,7 @@ class Spectrum:
 
     @property
     def radius(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     def __len__(self) -> int:
         return self.values.size
@@ -235,7 +243,7 @@ class MonicJacobi:
             raise ValueError("b must contain at least one entry")
         if uu.size != bb.size - 1:
             raise ValueError("u must contain exactly one entry fewer than b")
-        if uu.size and np.any(uu <= 0):
+        if (uu <= 0).any():
             raise NumericalError("recurrence weights u_n must be positive")
         bb.flags.writeable = False
         uu.flags.writeable = False
@@ -323,10 +331,10 @@ class WeightTable:
         ww = _asarray1d(w, "weights")
         if ww.size != len(pts):
             raise ValueError("weights and points must have equal length")
-        if np.any(ww < -1e-12):
+        if (ww < -1e-12).any():
             raise ValueError("weights must be nonnegative")
         ww = np.maximum(ww, 0.0)
-        if abs(float(np.sum(ww)) - 1.0) > 1e-12:
+        if abs(float(ww.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
         ww.flags.writeable = False
         self.points = pts
@@ -421,7 +429,7 @@ def _fold(b: np.ndarray, u: np.ndarray) -> _Rows:
     n1 = b.size
     half = (n1 - 1) // 2
     paired = half - n1 % 2  # couplings outside the centre above it
-    pivmin = 1e-292 * max(1.0, float(np.max(u, initial=0.0)))
+    pivmin = 1e-292 * max(1.0, float(u.max(initial=0.0)))
     join = float(u[half - 1]) if half else 0.0
     if n1 % 2 and half:
         join += float(u[half])
@@ -738,18 +746,20 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         return Spectrum(b)
     with np.errstate(all="ignore"):
         lo0, hi0 = _start(b, u)
-        if not hi0 - lo0 < np.inf:
+        if not hi0 - lo0 < math.inf:
             raise NumericalError("eigenvalues failed to separate: "
                                  "their Gershgorin interval spreads beyond double range")
         dense = near is None and n1 <= _DENSE_POINTS
         if dense:
             near = _dense_estimate(b, u)
         rows = _fold(b, u)
-        e = np.frexp(max(abs(lo0), abs(hi0)))[1]
-        q, scale = np.ldexp(1.0, e - 55), np.ldexp(1.0, e)
+        e = math.frexp(max(abs(lo0), abs(hi0)))[1]
+        # 2**e overflows at e = 1024, where math.ldexp would raise
+        q, scale = math.ldexp(1.0, e - 55), math.ldexp(1.0, e) if e < 1024 else math.inf
         cell = np.empty((2, n1), dtype=np.int64)
-        cell[0], cell[1] = np.floor(lo0 / q), np.ceil(hi0 / q)
-        val = np.full((2, n1), np.nan)
+        cell[0], cell[1] = math.floor(lo0 / q), math.ceil(hi0 / q)
+        val = np.empty((2, n1))
+        val.fill(np.nan)
         # a starting cell one grid step wide or less has no point to count
         if near is not None and cell[1, 0] - cell[0, 0] > 1:
             start = cell[:, 0].copy()
@@ -760,7 +770,9 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
             # sorted, the first of each run of equal points: NumPy 2.4 finds
             # unique integers through a hash table, over ten times the sort
             ladder = np.sort(ladder, axis=None)
-            _narrow(rows, q, ladder[np.append(True, ladder[1:] != ladder[:-1])], cell, val)
+            keep = np.ones(ladder.size, dtype=bool)
+            np.not_equal(ladder[1:], ladder[:-1], out=keep[1:])
+            _narrow(rows, q, ladder[keep], cell, val)
             if dense and (cell[1] - cell[0]).max() > _DENSE_LADDER.max() >> 1:
                 # an eigenvalue beyond its estimate's outer rungs sits next to
                 # an end without logs, where no secant step can aim: run
@@ -807,7 +819,7 @@ def eigenvalues(K: MonicJacobi, near=None) -> Spectrum:
         raise NumericalError(f"eigenvalues failed to separate: {exc}") from exc
 
 
-def _twisted(K: MonicJacobi, x: np.ndarray):
+def _twisted(K: MonicJacobi, x: np.ndarray, signs: bool = False):
     """The twisted eigenvector ``z`` of ``K`` at each node of ``x``, chunk by chunk.
 
     At each node a twisted factorization on the Sturm pivots (downward on
@@ -834,10 +846,13 @@ def _twisted(K: MonicJacobi, x: np.ndarray):
     of both sides.
 
     The nodes are taken in chunks of at most ``_CHUNK`` pivots in each
-    direction; each chunk yields its offset ``c``, then ``log|z_i|`` and
-    the signs of ``z_i`` (one column per node), ``log |z|`` and the
-    residual ``|gamma_r| / |z|`` (one entry per node).  ``weights_general``
-    and ``mirror_residual`` both read it, under their own ``np.errstate``.
+    direction; each chunk yields its offset ``c``, then ``log|z_i|`` and,
+    given ``signs``, the signs of ``z_i`` (one column per node; else
+    ``None``), ``log |z|`` and the residual ``|gamma_r| / |z|`` (one entry
+    per node).  ``weights_general`` and ``mirror_residual`` both read it,
+    under their own ``np.errstate``; only ``mirror_residual`` reads the
+    signs, whose parity takes a comparison, two masks, an accumulated XOR
+    and a select, about a sixteenth of a 32-node call.
     """
     b, u = K.b, K.u
     n1 = b.size
@@ -868,13 +883,17 @@ def _twisted(K: MonicJacobi, x: np.ndarray):
         # log|z_j / z_{j+-1}|, and the parity of the pivots d_j > 0,
         # outwards from the twist; the rows above it take d+, the others d-
         piv = np.where(above, down[:-1], up[1:])
-        lg, pos = np.log(a / np.abs(piv)), piv > 0.0
+        lg = np.log(a / np.abs(piv))
         lz = _outwards(np.add, np.where(above, lg, 0.0), np.where(below, lg, 0.0))
-        odd = _outwards(np.logical_xor, above & pos, below & pos)
-        top = np.max(lz, axis=0)
-        lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
+        top = lz.max(axis=0)
+        lnorm = top + 0.5 * np.log(np.exp(2.0 * (lz - top)).sum(axis=0))
         res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)
-        yield c, lz, np.where(odd, -1.0, 1.0), lnorm, res
+        if signs:
+            pos = piv > 0.0
+            odd = _outwards(np.logical_xor, above & pos, below & pos)
+            yield c, lz, np.where(odd, -1.0, 1.0), lnorm, res
+        else:
+            yield c, lz, None, lnorm, res
 
 
 def _outwards(op: np.ufunc, above: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -913,12 +932,21 @@ def weights_general(K: MonicJacobi, spectrum) -> WeightTable:
     each node (``_twisted``).  A node whose residual ``|gamma_r| / |z|``
     reaches half its gap to a neighbouring node is not known to be an
     eigenvalue of ``K`` apart from that neighbour, and raises
-    ``NumericalError`` naming it.  The table is renormalized to unit mass.
-    An array of nodes is sorted, and must be strictly increasing.
+    ``NumericalError`` naming it.  The half-gaps are the differences
+    ``x[1:] - x[:-1]``, each taken into the node above and the node below
+    it by an in-place minimum, the end nodes' outer gaps infinite, then
+    halved.  The weights need no signs of ``z``, so ``_twisted`` forms
+    none.  The table is renormalized to unit mass.  An array of nodes is
+    sorted, and must be strictly increasing.
     """
     spec = _nodes(spectrum)
     x = spec.values
-    half_gap = 0.5 * np.minimum(np.diff(x, prepend=-np.inf), np.diff(x, append=np.inf))
+    gap = x[1:] - x[:-1]
+    half_gap = np.empty(x.size)
+    half_gap.fill(np.inf)
+    np.minimum(half_gap[1:], gap, out=half_gap[1:])
+    np.minimum(half_gap[:-1], gap, out=half_gap[:-1])
+    half_gap *= 0.5
     logw = np.empty(x.size)
     with np.errstate(all="ignore"):
         for c, lz, _, lnorm, res in _twisted(K, x):
@@ -992,17 +1020,17 @@ def _closed_form_logr(x: np.ndarray, first: int = 0, step: int = 1) -> np.ndarra
 
 def _unit_mass(logw: np.ndarray) -> tuple[np.ndarray, float]:
     """The weights ``exp(logw)`` scaled to unit sum, and the log of their sum."""
-    m = float(np.max(logw))
-    lse = m + float(np.log(np.sum(np.exp(logw - m))))
+    m = float(logw.max())
+    lse = m + float(np.log(np.exp(logw - m).sum()))
     w = np.exp(logw - lse)
-    w /= np.sum(w)
+    w /= w.sum()
     return w, lse
 
 
 def is_persymmetric(J: SymmetricJacobi, tol: float = 1e-10) -> bool:
     """Whether ``J`` equals its anti-diagonal reflection within ``tol``."""
     with np.errstate(over="ignore"):  # an overflowed difference is inf > tol
-        return all(float(np.max(np.abs(v - v[::-1]), initial=0.0)) <= tol for v in (J.b, J.a))
+        return all(float(np.abs(v - v[::-1]).max(initial=0.0)) <= tol for v in (J.b, J.a))
 
 
 def _mirror_signs(n: int) -> np.ndarray:
@@ -1018,7 +1046,8 @@ def mirror_residual(K: MonicJacobi, spectrum) -> float:
     eigenvectors ``q_{n,s} = sqrt(w_s) chi_n(x_s)`` obey
     ``q_{N-n,s} = (-1)^{N+s} q_{n,s}``.  ``q`` is the twisted eigenvector
     at each node (``_twisted``) scaled to unit length, the same vector
-    ``weights_general`` reads its weights off, and the returned residual
+    ``weights_general`` reads its weights off, here with the signs of its
+    components, which the weights do not need.  The returned residual
     is ``max |q_{N-n,s} - (-1)^{N+s} q_{n,s}|`` over all ``n, s``, which
     is at most 2 and does not depend on the sign of each ``q``.  At a
     node that is not an eigenvalue of ``K`` (a reconstruction checked at
@@ -1033,10 +1062,10 @@ def mirror_residual(K: MonicJacobi, spectrum) -> float:
     is sorted, and must be strictly increasing.
     """
     spec = _nodes(spectrum)
-    signs = _mirror_signs(K.n)
+    mirror = _mirror_signs(K.n)
     worst = 0.0
     with np.errstate(all="ignore"):
-        for c, lz, sign, lnorm, _ in _twisted(K, spec.values):
+        for c, lz, sign, lnorm, _ in _twisted(K, spec.values, signs=True):
             q = sign * np.exp(lz - lnorm)
-            worst = np.maximum(worst, np.max(np.abs(q[::-1] - signs[c:c + q.shape[1]] * q)))
+            worst = np.maximum(worst, np.abs(q[::-1] - mirror[c:c + q.shape[1]] * q).max())
     return float(worst) if np.isfinite(worst) else np.inf

@@ -232,6 +232,31 @@ class TestExitCodes:
         assert main(["deform", mat, f"--theta={value}", "--weights"]) == 2
         assert capsys.readouterr().err == f"error: --theta must be a finite number, not {value}\n"
 
+    @pytest.mark.parametrize("value", ["8.98846567431158e307", "-8.98846567431158e307",
+                                       "1.7976931348623157e308"])
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [[], ["--weights"]])
+    def test_theta_past_two_to_the_1023_is_an_input_error(self, tmp_path, capsys, value,
+                                                          points, weights):
+        # 2 theta overflows there; its sine was NaN, with a RuntimeWarning
+        mat = _write(tmp_path, "m.json", {"n": points - 1, "b": [0] * points,
+                                          "a": [1] * (points - 1)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["deform", mat, f"--theta={value}", *weights]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: deformation angle theta = {float(value)!r} is out of range: "
+                       "|theta| must be below 2**1023, so that 2 theta is finite\n")
+
+    def test_theta_past_two_to_the_1023_under_dash_w_error(self, tmp_path, child_env):
+        mat = _write(tmp_path, "m.json", {"n": 1, "b": [0, 0], "a": [1]})
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "persymjac", "deform", mat,
+                               "--theta", "1e308", "--weights"],
+                              capture_output=True, text=True, timeout=60, env=child_env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: deformation angle theta = 1e+308 is out of range")
+
     def test_large_finite_theta_is_valid(self, tmp_path, capsys):
         mat = _write(tmp_path, "m.json", {"n": 2, "b": [0, 0, 0], "a": [1, 1]})
         assert main(["deform", mat, "--theta", "1e300", "--weights"]) == 0

@@ -9,6 +9,8 @@ matrix and against SciPy's eigenvectors of it (SciPy is a test-only
 oracle).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -17,8 +19,8 @@ from persymjac.deformation import (build_involution, deform_closed_form,
                                    deform_conjugate, deformed_polynomials,
                                    deformed_weights)
 from persymjac.errors import NumericalError
-from persymjac.jacobi import (MonicJacobi, SymmetricJacobi, WeightTable, eigenvalues,
-                              recurrence_polynomials, weights_general,
+from persymjac.jacobi import (MonicJacobi, SymmetricJacobi, WeightTable, _mirror_signs,
+                              eigenvalues, recurrence_polynomials, weights_general,
                               weights_persymmetric)
 
 ROOT3 = np.sqrt(3.0)
@@ -299,3 +301,55 @@ class TestDeformedPolynomials:
                     have = got[m](spec.values)
                     scale = max(1.0, float(np.max(np.abs(want))))
                     assert np.max(np.abs(have - want)) <= 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# the valid angles
+# ----------------------------------------------------------------------
+
+# 2 theta overflows from |theta| = 2**1023 on, and its sine is NaN
+_TOO_LARGE = [2.0 ** 1023, -2.0 ** 1023, np.nextafter(2.0 ** 1023, np.inf),
+              np.finfo(float).max, np.float64(2.0 ** 1023), np.inf, -np.inf, np.nan]
+_LARGEST_VALID = [np.nextafter(2.0 ** 1023, 0.0), -np.nextafter(2.0 ** 1023, 0.0), 1e300]
+
+
+class TestAngleRange:
+    @pytest.mark.parametrize("theta", _TOO_LARGE)
+    @pytest.mark.parametrize("points", [1, 2, 3, 4])
+    def test_too_large_an_angle_is_one_value_error(self, theta, points):
+        j = SymmetricJacobi(np.zeros(points), np.ones(points - 1))
+        table, _ = weights_persymmetric(eigenvalues(j.to_monic()))
+        system = recurrence_polynomials(j.to_monic())
+        message = f"deformation angle theta = {float(theta)!r} is out of range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: deform_closed_form(j, theta),
+                         lambda: deformed_weights(table, theta),
+                         lambda: deformed_polynomials(system, theta)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value).startswith(message)
+                assert "2**1023" in str(exc.value)
+
+    @pytest.mark.parametrize("theta", _LARGEST_VALID)
+    @pytest.mark.parametrize("points", [2, 3, 4, 5])
+    def test_the_largest_valid_angles_keep_the_double_angle_sine(self, theta, points):
+        rng = np.random.default_rng(5040 + points)
+        j = _random_persymmetric(rng, points - 1)
+        table, _ = weights_persymmetric(eigenvalues(j.to_monic()))
+        tilt = np.sin(2.0 * theta)
+        assert np.isfinite(tilt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = deformed_weights(table, theta).w
+            except NumericalError:
+                got = None
+            deformed = deform_closed_form(j, theta)
+        if got is not None:
+            want = table.w * (1.0 + _mirror_signs(points - 1) * tilt)
+            assert got.tobytes() == np.maximum(want, 0.0).tobytes()
+        if points % 2 == 0:
+            mid = points // 2 - 1
+            assert deformed.a[mid] == j.a[mid] * np.cos(2.0 * theta)
+            assert deformed.b[mid] == j.b[mid] + j.a[mid] * tilt

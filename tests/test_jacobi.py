@@ -1675,10 +1675,227 @@ class TestMirrorResidual:
             tol = 8.0 * eps * float(np.max(np.abs(x))) / float(np.min(np.diff(x)))
             with np.errstate(all="ignore"):
                 q = np.hstack([sign * np.exp(lz - lnorm) for _, lz, sign, lnorm, _
-                               in jacobi._twisted(k, eigenvalues(k).values)])
+                               in jacobi._twisted(k, eigenvalues(k).values, signs=True)])
             cols = np.arange(x.size)
             big = np.argmax(np.abs(vecs), axis=0)
             vecs *= np.sign(vecs[big, cols]) * np.sign(q[big, cols])
             assert np.max(np.abs(q - vecs)) <= tol, (i, k.n)
             if i % 2:
                 assert mirror_residual(k, eigenvalues(k)) <= 2.0 * tol, (i, k.n)
+
+
+# ----------------------------------------------------------------------
+# the twisted-vector readers and the exact set-up, against their earlier code
+# ----------------------------------------------------------------------
+#
+# Test-only copies of the code before the forward path's reductions became
+# ndarray methods, ``_twisted`` stopped forming signs for
+# ``weights_general``, the half-gaps stopped going through ``np.diff`` and
+# ``eigenvalues`` took its grid through ``math``.  Only exact operations
+# changed route, so every byte must agree.
+
+
+def _ref_twisted(k: MonicJacobi, x: np.ndarray):
+    """``_twisted`` forming the signs of every chunk, as it did for both readers."""
+    b, u = k.b, k.u
+    n1 = b.size
+    if x.size != n1:
+        raise ValueError("spectrum size does not match the matrix")
+    ul, lu = u.tolist(), u[::-1].tolist()
+    pivmin = 1e-292 * max([1.0, *ul])
+    mirrored = b == b[::-1]
+    mirrored[1:] &= u == u[::-1]
+    shared = n1 if mirrored.all() else int(mirrored.argmin())
+    a = np.sqrt(u)[:, None]
+    rows = np.arange(n1)[:, None]
+    m = max(1, jacobi._CHUNK // n1)
+    for c in range(0, n1, m):
+        xc = x[c:c + m]
+        down, up = np.empty((n1, xc.size)), np.empty((n1, xc.size))
+        jacobi._pivots(b, ul, xc, 0, down, xc, pivmin)
+        up[:shared] = down[:shared]
+        if shared < n1:
+            jacobi._pivots(b[::-1], lu, xc, shared, up[shared:],
+                           down[shared - 1] if shared else xc, pivmin)
+        up = up[::-1]
+        gamma = down + up - (b[:, None] - xc)
+        r = np.argmin(np.abs(gamma), axis=0)
+        above, below = rows[:-1] < r, rows[1:] > r
+        piv = np.where(above, down[:-1], up[1:])
+        lg, pos = np.log(a / np.abs(piv)), piv > 0.0
+        lz = jacobi._outwards(np.add, np.where(above, lg, 0.0), np.where(below, lg, 0.0))
+        odd = jacobi._outwards(np.logical_xor, above & pos, below & pos)
+        top = np.max(lz, axis=0)
+        lnorm = top + 0.5 * np.log(np.sum(np.exp(2.0 * (lz - top)), axis=0))
+        res = np.abs(gamma[r, np.arange(xc.size)]) * np.exp(-lnorm)
+        yield c, lz, np.where(odd, -1.0, 1.0), lnorm, res
+
+
+def _ref_weights_general(k: MonicJacobi, x: np.ndarray) -> np.ndarray:
+    """``weights_general``'s weights on sorted nodes ``x``, half-gaps by ``np.diff``."""
+    half_gap = 0.5 * np.minimum(np.diff(x, prepend=-np.inf), np.diff(x, append=np.inf))
+    logw = np.empty(x.size)
+    with np.errstate(all="ignore"):
+        for c, lz, _, lnorm, res in _ref_twisted(k, x):
+            bad = np.flatnonzero(~(res < half_gap[c:c + res.size]))
+            if bad.size:
+                s = c + int(bad[0])
+                raise NumericalError(f"node x_{s} = {x[s]:.17g} has residual {res[s - c]:.3e}, at "
+                                     "least half its gap: likely not an eigenvalue of this matrix")
+            logw[c:c + res.size] = 2.0 * (lz[0] - lnorm)
+    m = float(np.max(logw))
+    lse = m + float(np.log(np.sum(np.exp(logw - m))))
+    w = np.exp(logw - lse)
+    w /= np.sum(w)
+    return np.maximum(w, 0.0)  # as WeightTable clips
+
+
+def _ref_mirror_residual(k: MonicJacobi, x: np.ndarray) -> float:
+    signs = jacobi._mirror_signs(k.n)
+    worst = 0.0
+    with np.errstate(all="ignore"):
+        for c, lz, sign, lnorm, _ in _ref_twisted(k, x):
+            q = sign * np.exp(lz - lnorm)
+            worst = np.maximum(worst, np.max(np.abs(q[::-1] - signs[c:c + q.shape[1]] * q)))
+    return float(worst) if np.isfinite(worst) else np.inf
+
+
+def _ref_grid(lo0: float, hi0: float, n1: int):
+    """``eigenvalues``'s grid step, log scale and starting cell, through NumPy."""
+    with np.errstate(all="ignore"):
+        e = np.frexp(max(abs(lo0), abs(hi0)))[1]
+        q, scale = np.ldexp(1.0, e - 55), np.ldexp(1.0, e)
+        cell = np.empty((2, n1), dtype=np.int64)
+        cell[0], cell[1] = np.floor(lo0 / q), np.ceil(hi0 / q)
+    return q, scale, cell
+
+
+def _twisted_family():
+    """Plain, persymmetric and deformed matrices of 1 to 129 nodes, each with
+    its eigenvalues and, from two nodes on, with another matrix's eigenvalues,
+    at which ``weights_general`` mostly raises."""
+    rng = np.random.default_rng(3031)
+    for n1 in [*range(1, 40), 63, 64, 65, 127, 128, 129]:
+        plain = MonicJacobi(rng.uniform(-1.0, 1.0, n1), rng.uniform(0.3, 1.2, n1 - 1) ** 2)
+        persymmetric = _random_persymmetric(rng, n1 - 1)
+        deformed = _deformed(persymmetric, float(rng.uniform(0.1, 0.6))).to_monic()
+        for k in (plain, persymmetric, deformed):
+            try:
+                x = eigenvalues(k).values
+            except NumericalError:
+                continue
+            yield k, x
+            if n1 > 1:
+                yield k, np.sort(x + rng.uniform(-0.1, 0.1) * (x[-1] - x[0]) / n1)
+
+
+class TestTwistedReadersBits:
+    def test_weights_general_bit_identical_to_the_earlier_code(self):
+        raised = kinds = 0
+        for k, x in _twisted_family():
+            try:
+                want = _ref_weights_general(k, x)
+            except NumericalError as exc:
+                raised += 1
+                with pytest.raises(NumericalError) as got:
+                    weights_general(k, x)
+                assert str(got.value) == str(exc)
+            else:
+                assert weights_general(k, x).w.tobytes() == want.tobytes(), k.n
+            kinds += 1
+        assert raised >= 20 and kinds - raised >= 100
+
+    def test_mirror_residual_bit_identical_to_the_earlier_code(self):
+        for k, x in _twisted_family():
+            want = _ref_mirror_residual(k, x)
+            assert mirror_residual(k, x) == want, k.n
+
+    def test_signs_only_when_asked(self):
+        k = _random_persymmetric(np.random.default_rng(3032), 9)
+        x = eigenvalues(k).values
+        with np.errstate(all="ignore"):
+            plain = list(jacobi._twisted(k, x))
+            signed = list(jacobi._twisted(k, x, signs=True))
+            ref = list(_ref_twisted(k, x))
+        assert all(part[2] is None for part in plain)
+        for got, bare, want in zip(signed, plain, ref):
+            assert got[2].tobytes() == want[2].tobytes()
+            for i in (1, 3, 4):
+                assert got[i].tobytes() == bare[i].tobytes() == want[i].tobytes()
+
+
+def _neighbours():
+    tiny = 5e-324
+    big = np.finfo(float).max
+    return [
+        [0.5, 0.5], [-0.0, 0.0], [1.0, 1.0, 2.0],
+        [1.0, np.nextafter(1.0, 2.0)], [np.nextafter(1.0, 0.0), 1.0],
+        [-tiny, 0.0], [0.0, tiny], [tiny, 2 * tiny], [2 * tiny, tiny], [-tiny, tiny],
+        [np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308],
+        [-big, big], [big, -big], [-big, np.nextafter(-big, 0.0)],
+        [np.nextafter(big, 0.0), big], [big, big], [-big, -big], [-1.79e308, 1.79e308],
+        [0.0, 1.0, 1.0 + 2.0 ** -52, -1.0],
+    ]
+
+
+class TestSpectrumOrderCheck:
+    @pytest.mark.parametrize("values", _neighbours())
+    def test_accepts_exactly_where_the_differences_are_positive(self, values):
+        arr = np.array(values)
+        with np.errstate(over="ignore"):  # -big to big overflows to inf > 0
+            increasing = bool(np.all(np.diff(arr) > 0))
+        if increasing:
+            assert Spectrum(values).values.tobytes() == arr.tobytes()
+        else:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Spectrum(values)
+
+
+def _far_scale_matrices():
+    """Matrices whose eigenvalues reach past ``2**1023``, so that the log
+    scale ``2**1024`` is ``inf``, or sit at about ``2**-529`` on a
+    diagonal of about ``2**-1000``.  ``u`` must stay finite and positive,
+    so the couplings of the first are negligible and those of the second
+    subnormal squared."""
+    rng = np.random.default_rng(3033)
+    for n1 in (2, 3, 8, 17, 32):
+        # from near 0, so that lo0 / q is not a whole number of grid steps
+        b = np.ldexp(np.sort(rng.uniform(0.0, 1.5, n1)), 1023)
+        yield MonicJacobi(b, rng.uniform(0.3, 1.2, n1 - 1))
+        yield MonicJacobi(-b[::-1], rng.uniform(0.3, 1.2, n1 - 1))
+        yield MonicJacobi(np.ldexp(rng.uniform(-1.0, 1.0, n1), 1023),
+                          rng.uniform(0.3, 1.2, n1 - 1) * 2.0 ** 1000)
+        yield MonicJacobi(np.ldexp(rng.uniform(-1.0, 1.0, n1), -1000),
+                          np.ldexp(rng.uniform(1.0, 2.0, n1 - 1), -1060))
+
+
+class TestEigenvalueGridSetup:
+    @pytest.mark.parametrize("guided", [True, False])
+    def test_grid_and_eigenvalues_at_both_ends_of_the_range(self, monkeypatch, guided):
+        if not guided:
+            _unguided(monkeypatch)
+        seen = []
+        inner = jacobi._narrow
+
+        def spy(r, q, pts, cell, val, scale=None):
+            seen.append((q, cell.copy(), scale))
+            inner(r, q, pts, cell, val, scale)
+
+        monkeypatch.setattr(jacobi, "_narrow", spy)
+        exponents = set()
+        for k in _far_scale_matrices():
+            seen.clear()
+            got = eigenvalues(k).values
+            assert got.tobytes() == _ref_eigenvalues(k).tobytes(), k.n
+            q, scale, cell = _ref_grid(*_ref_start(k.b, k.u), k.b.size)
+            exponents.add(math.frexp(q)[1] + 54)
+            assert seen and seen[0][0] == q and seen[0][1].tobytes() == cell.tobytes()
+            assert all(s == scale for _, _, s in seen if s is not None)
+            if not guided:  # the first unguided sweep takes the logs
+                assert seen[0][2] == scale
+        assert {1024, 1023} <= exponents and min(exponents) < -500
+
+    def test_interval_past_the_double_range_fails_alike(self):
+        k = MonicJacobi([-1.5 * 2.0 ** 1023, 1.5 * 2.0 ** 1023], [1.0])
+        with pytest.raises(NumericalError, match="beyond double range"):
+            eigenvalues(k)
